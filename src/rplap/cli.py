@@ -20,7 +20,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EvaluationError,
-    IllPosedError,
     NumericError,
     ResolutionError,
 )
@@ -32,7 +31,6 @@ _NUMERIC_ERRORS = (
     AssemblyError,
     ConvergenceError,
     EvaluationError,
-    IllPosedError,
     NumericError,
     ResolutionError,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, ResolutionError
 from .quadrature import build_sphere_rule, sphere_volume
-from .sphere_geom import as_unit, tangent_basis
+from .sphere_geom import _central_differences, _reflect, as_unit, tangent_basis
 
 __all__ = [
     "SphereSelfMap",
@@ -94,18 +94,9 @@ def _tangent_images(sphere_map, points, frames, fd_step):
     if sphere_map.jacobian is not None:
         jac = np.asarray(sphere_map.jacobian(points), dtype=float)
         return np.einsum("kij,kjd->kid", jac, frames)
-    cols = []
-    for a in range(frames.shape[-1]):
-        u = frames[:, :, a]
-        plus = points + fd_step * u
-        plus /= np.linalg.norm(plus, axis=-1, keepdims=True)
-        minus = points - fd_step * u
-        minus /= np.linalg.norm(minus, axis=-1, keepdims=True)
-        cols.append(
-            (_map_images(sphere_map, plus) - _map_images(sphere_map, minus))
-            / (2.0 * fd_step)
-        )
-    return np.stack(cols, axis=-1)
+    return _central_differences(
+        lambda probes: _map_images(sphere_map, probes), points, frames, fd_step, on_sphere=True
+    )
 
 
 def oriented_tangent_frames(points):
@@ -252,14 +243,6 @@ def degree_regular_value(
 # --- block reflection symmetry --------------------------------------------
 
 
-def _rows_reflect(vecs, mirrors):
-    norms = np.linalg.norm(mirrors, axis=-1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise DomainError("reflection mirror vanishes")
-    unit = mirrors / norms
-    return vecs - 2.0 * np.sum(vecs * unit, axis=-1, keepdims=True) * unit
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     passes: bool
@@ -297,10 +280,10 @@ def reflection_symmetry_check(
     points = points[:samples]
     a, b = points[:, :k], points[:, k:]
 
-    moved = np.concatenate([_rows_reflect(a, b), -b], axis=1)
+    moved = np.concatenate([_reflect(a, b, False), -b], axis=1)
     values = _map_images(sphere_map, moved)
     conjugated = np.concatenate(
-        [_rows_reflect(values[:, :k], b), _rows_reflect(values[:, k:], b)], axis=1
+        [_reflect(values[:, :k], b, False), _reflect(values[:, k:], b, False)], axis=1
     )
     direct = _map_images(sphere_map, points)
     pair_dev = float(np.max(np.linalg.norm(conjugated - direct, axis=1)))
@@ -349,16 +332,6 @@ class EuclideanDegreeResult:
     signs: np.ndarray
 
 
-def _fd_jacobian(func, point, fd_step):
-    m = point.shape[0]
-    probes = np.repeat(point[None], 2 * m, axis=0)
-    for i in range(m):
-        probes[2 * i, i] += fd_step
-        probes[2 * i + 1, i] -= fd_step
-    values = np.atleast_2d(np.asarray(func(probes), dtype=float))
-    return (values[0::2] - values[1::2]).T / (2.0 * fd_step)
-
-
 def euclidean_degree(
     func,
     region,
@@ -395,6 +368,7 @@ def euclidean_degree(
     random_starts = lower + rng.uniform(size=(extra_starts, m)) * span
     starts = np.concatenate([starts, random_starts], axis=0)
 
+    axes = np.eye(m)[None]
     far_lo = lower - 1.5 * span
     far_hi = upper + 1.5 * span
     zeros = []
@@ -408,7 +382,7 @@ def euclidean_degree(
             if np.linalg.norm(res) <= residual_tol:
                 ok = True
                 break
-            jac = _fd_jacobian(func, point, fd_step)
+            jac = _central_differences(func, point[None], axes, fd_step, False)[0]
             if not np.all(np.isfinite(jac)):
                 break
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -432,7 +406,7 @@ def euclidean_degree(
             degree=0, zeros=np.zeros((0, m)), signs=np.zeros(0, dtype=int)
         )
     zeros = np.array(zeros)
-    dets = np.array([np.linalg.det(_fd_jacobian(func, z, fd_step)) for z in zeros])
+    dets = np.linalg.det(_central_differences(func, zeros, axes, fd_step, False))
     if np.any(np.abs(dets) < min_jacobian):
         raise ResolutionError(
             "degenerate zero: Jacobian determinant below "
@@ -449,7 +423,7 @@ def block_involution(points, half_dim):
     if pts.shape[1] != 2 * k:
         raise DomainError(f"expected rows of length {2 * k}, got {pts.shape[1]}")
     a, b = pts[:, :k], pts[:, k:]
-    return np.concatenate([_rows_reflect(a, b), -b], axis=1)
+    return np.concatenate([_reflect(a, b, False), -b], axis=1)
 
 
 def reflection_conjugate(func, half_dim):
@@ -463,7 +437,7 @@ def reflection_conjugate(func, half_dim):
             np.asarray(func(block_involution(pts, half_dim)), dtype=float)
         )
         return np.concatenate(
-            [_rows_reflect(values[:, :k], b), _rows_reflect(values[:, k:], b)], axis=1
+            [_reflect(values[:, :k], b, False), _reflect(values[:, k:], b, False)], axis=1
         )
 
     return conjugated

@@ -37,9 +37,5 @@ class ResolutionError(RuntimeError):
     """A discrete invariant (e.g. integer-valued degree) came out ambiguous."""
 
 
-class IllPosedError(RuntimeError):
-    """The requested computation is ill posed (zero on boundary, etc.)."""
-
-
 class ConfigError(ValueError):
     """Malformed configuration file or option value."""

@@ -6,7 +6,7 @@ sets are antipodally symmetric, so integrals over projective space are half
 the sphere integral of an even integrand.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 import math
 from typing import Callable, Optional
 
@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import roots_chebyu
 
 from .errors import DomainError, EvaluationError
+from .sphere_geom import _central_differences
 
 __all__ = [
     "QuadratureRule",
@@ -184,14 +185,16 @@ def antipodal_permutation(rule, tol=1e-10):
 # Parametric surfaces
 
 
+_FD_STEP = 1e-6  # central-difference step for charts without a jacobian
+
+
 @dataclass
 class ParamSurface:
     """Surface chart into a sphere with a quadrature rule on its parameters.
 
-    chart maps parameter rows (N, param_dim) -> ambient rows (N, M+1); for
-    sphere_domain surfaces the parameters are themselves ambient sphere
-    points and differentiation runs along tangent frames.  jacobian, when
-    given, returns (N, M+1, param_dim) and skips finite differences.
+    chart maps parameter rows (N, param_dim) -> ambient rows (N, M+1).
+    jacobian, when given, returns (N, M+1, param_dim) and skips finite
+    differences.
     """
 
     param_dim: int
@@ -199,57 +202,22 @@ class ParamSurface:
     nodes: np.ndarray
     weights: np.ndarray
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sphere_domain: bool = False
     name: str = ""
-    fd_step: float = 1e-6
     param_range: Optional[tuple] = None  # exact domain: (lo, hi), or one such per axis
 
     def with_rule(self, nodes, weights):
-        return ParamSurface(
-            param_dim=self.param_dim,
-            chart=self.chart,
+        return replace(
+            self,
             nodes=np.asarray(nodes, dtype=float),
             weights=np.asarray(weights, dtype=float),
-            jacobian=self.jacobian,
-            sphere_domain=self.sphere_domain,
-            name=self.name,
-            fd_step=self.fd_step,
-            param_range=self.param_range,
         )
 
     def jacobian_at(self, params):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(params), dtype=float)
-        return _fd_chart_jacobian(self, params)
-
-
-def _fd_chart_jacobian(surface, params):
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    h = surface.fd_step
-    probe = surface.chart(params[:1])
-    out_dim = np.atleast_2d(probe).shape[1]
-    if surface.sphere_domain:
-        from .sphere_geom import tangent_basis
-
-        frames = tangent_basis(params)  # (N, m, m-1)
-        dirs = np.moveaxis(frames, -1, 0)  # (m-1, N, m)
-        cols = []
-        for direction in dirs:
-            plus = params + h * direction
-            minus = params - h * direction
-            plus /= np.linalg.norm(plus, axis=-1, keepdims=True)
-            minus /= np.linalg.norm(minus, axis=-1, keepdims=True)
-            cols.append((surface.chart(plus) - surface.chart(minus)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
-    cols = []
-    for j in range(surface.param_dim):
-        step = np.zeros(surface.param_dim)
-        step[j] = h
-        cols.append((surface.chart(params + step) - surface.chart(params - step)) / (2.0 * h))
-    jac = np.stack(cols, axis=-1)
-    if jac.shape[1] != out_dim:
-        raise EvaluationError("chart output dimension changed between calls")
-    return jac
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+        axes = np.eye(self.param_dim)[None]
+        return _central_differences(self.chart, params, axes, _FD_STEP, on_sphere=False)
 
 
 def surface_measure(surface, weight=None, nodes=None, weights=None):

@@ -4,6 +4,12 @@ Points are numpy arrays with the ambient coordinate on the last axis; every
 map broadcasts over leading axes.  Maps that receive a point on the unit
 sphere return a point renormalized onto the unit sphere, so errors do not
 accumulate through compositions.
+
+The public maps validate their inputs (open-ball shifts, unit sphere points)
+and snap sphere rows back onto the sphere.  Each has a private kernel with
+the same arithmetic that trusts its caller: no conversion, no validation, and
+renormalization only of the rows its `unit` argument (True, False or a per-row
+mask) flags.  Inner loops call the kernels on points they made themselves.
 """
 
 import numpy as np
@@ -26,7 +32,6 @@ __all__ = [
     "fold_factor",
     "stereographic",
     "stereographic_inverse",
-    "stereographic_factor",
 ]
 
 UNIT_TOL = 1e-12          # admissible deviation of |y| from 1 at validation
@@ -59,15 +64,30 @@ def as_ball(x, tol=UNIT_TOL):
     return x
 
 
-def _renormalized_like_input(y_in, out):
-    # Outputs of sphere inputs are snapped back onto the sphere.
-    r_in = _norm(np.asarray(y_in, dtype=float))
-    on_sphere = np.abs(r_in - 1.0) <= SPHERE_DETECT_TOL
-    if not np.any(on_sphere):
+def _on_sphere(y):
+    return np.abs(_norm(y) - 1.0) <= SPHERE_DETECT_TOL
+
+
+def _snap(out, unit):
+    # Rows flagged unit (True, False or a per-row mask) are renormalized.
+    if unit is True:
+        return out / _norm(out)[..., None]
+    if not np.any(unit):
         return out
-    r_out = _norm(out)
-    scale = np.where(on_sphere, r_out, 1.0)
-    return out / scale[..., None]
+    return out / np.where(unit, _norm(out), 1.0)[..., None]
+
+
+def _moebius(x, y, unit):
+    xy = np.sum(x * y, axis=-1, keepdims=True)
+    yy = np.sum(y * y, axis=-1, keepdims=True)
+    xx = np.sum(x * x, axis=-1, keepdims=True)
+    denom = 1.0 + 2.0 * xy + xx * yy
+    if np.min(denom) <= _DENOM_TOL:
+        raise DomainError(
+            f"Moebius translation degenerate: denominator {np.min(denom):.3g}"
+        )
+    out = ((1.0 + 2.0 * xy + yy) * x + (1.0 - xx) * y) / denom
+    return _snap(out, unit)
 
 
 def moebius_apply(x, y):
@@ -81,26 +101,10 @@ def moebius_apply(x, y):
     """
     x = as_ball(x)
     y = np.asarray(y, dtype=float)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    yy = np.sum(y * y, axis=-1, keepdims=True)
-    xx = np.sum(x * x, axis=-1, keepdims=True)
-    denom = 1.0 + 2.0 * xy + xx * yy
-    if np.min(denom) <= _DENOM_TOL:
-        raise DomainError(
-            f"Moebius translation degenerate: denominator {np.min(denom):.3g}"
-        )
-    out = ((1.0 + 2.0 * xy + yy) * x + (1.0 - xx) * y) / denom
-    return _renormalized_like_input(y, out)
+    return _moebius(x, y, _on_sphere(y))
 
 
-def moebius_factor(x, s):
-    """Conformal stretch of T_x on the unit sphere at the point s.
-
-    |D T_x(s) u| = factor * |u| for u tangent at s, with
-    factor = (1 - |x|^2) / (1 + |x|^2 + 2 x.s).
-    """
-    x = as_ball(x)
-    s = as_unit(s, tol=SPHERE_DETECT_TOL)
+def _moebius_factor(x, s):
     xx = np.sum(x * x, axis=-1)
     xs = np.sum(x * s, axis=-1)
     denom = 1.0 + xx + 2.0 * xs
@@ -109,15 +113,27 @@ def moebius_factor(x, s):
     return (1.0 - xx) / denom
 
 
-def reflect(y, mirror):
-    """Reflect y across the hyperplane orthogonal to mirror (mirror != 0)."""
-    y = np.asarray(y, dtype=float)
-    mirror = np.asarray(mirror, dtype=float)
+def moebius_factor(x, s):
+    """Conformal stretch of T_x on the unit sphere at the point s.
+
+    |D T_x(s) u| = factor * |u| for u tangent at s, with
+    factor = (1 - |x|^2) / (1 + |x|^2 + 2 x.s).
+    """
+    return _moebius_factor(as_ball(x), as_unit(s, tol=SPHERE_DETECT_TOL))
+
+
+def _reflect(y, mirror, unit):
     m2 = np.sum(mirror * mirror, axis=-1, keepdims=True)
     if np.min(m2) <= 1e-28:
         raise DomainError("reflection mirror vector is zero")
     out = y - 2.0 * np.sum(y * mirror, axis=-1, keepdims=True) * mirror / m2
-    return _renormalized_like_input(y, out)
+    return _snap(out, unit)
+
+
+def reflect(y, mirror):
+    """Reflect y across the hyperplane orthogonal to mirror (mirror != 0)."""
+    y = np.asarray(y, dtype=float)
+    return _reflect(y, np.asarray(mirror, dtype=float), _on_sphere(y))
 
 
 def tangent_basis(x):
@@ -136,6 +152,22 @@ def tangent_basis(x):
     eye_cols[...] = np.eye(m)[:, 1:]
     basis = eye_cols - v[..., :, None] * (2.0 * v[..., None, 1:] / nv2[..., None, None])
     return basis
+
+
+def _central_differences(func, points, directions, step, on_sphere):
+    """Central differences of func at points (N, m) along directions (N or 1, m, k).
+
+    The 2k probes points +- step * u, renormalized onto the sphere when
+    on_sphere, go through func in one call; returns (N, out, k) columns.
+    """
+    count, m = points.shape
+    k = directions.shape[-1]
+    offsets = step * np.moveaxis(directions, -1, 0)
+    probes = np.concatenate([points + offsets, points - offsets])
+    if on_sphere:
+        probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
+    values = np.asarray(func(probes.reshape(-1, m)), dtype=float).reshape(2, k, count, -1)
+    return np.moveaxis((values[0] - values[1]) / (2.0 * step), 0, -1)
 
 
 class SphericalCap:
@@ -173,6 +205,12 @@ class SphericalCap:
         return f"SphericalCap(pole={self.pole!r}, t={self.t!r})"
 
 
+def _cap_reflect(cap, y, unit):
+    shift = cap.t * cap.pole
+    inner = _moebius(-shift, y, unit)
+    return _moebius(shift, _reflect(inner, cap.pole, unit), unit)
+
+
 def cap_reflect(cap, y):
     """Conformal reflection across the cap boundary, sending pole -> -pole.
 
@@ -180,25 +218,36 @@ def cap_reflect(cap, y):
     translation T_{t*pole}; fixes the boundary circle of the cap pointwise
     and swaps the cap with its complement.
     """
+    y = np.asarray(y, dtype=float)
+    return _cap_reflect(cap, y, _on_sphere(y))
+
+
+def _cap_reflect_factor(cap, s):
     shift = cap.t * cap.pole
-    inner = moebius_apply(-shift, y)
-    return moebius_apply(shift, reflect(inner, cap.pole))
+    outer = _reflect(_moebius(-shift, s, True), cap.pole, True)
+    # outer is renormalized once more, as moebius_factor's validation does:
+    # near -pole the denominator 1 + |x|^2 + 2 x.s cancels as t -> 1, where
+    # one ulp in outer moves the fold limit tables by 1e-11.
+    return _moebius_factor(shift, _snap(outer, True)) * _moebius_factor(-shift, s)
 
 
 def cap_reflect_factor(cap, s):
     """Conformal stretch of cap_reflect at a sphere point s."""
-    shift = cap.t * cap.pole
-    inner = moebius_apply(-shift, s)
-    outer = reflect(inner, cap.pole)
-    return moebius_factor(shift, outer) * moebius_factor(-shift, s)
+    return _cap_reflect_factor(cap, as_unit(s, tol=SPHERE_DETECT_TOL))
+
+
+def _fold(cap, y):
+    reflected = _cap_reflect(cap, y, True)
+    return np.where(cap.contains(y)[..., None], y, reflected)
 
 
 def fold_apply(cap, y):
     """Fold the sphere onto the cap: identity inside, cap_reflect outside."""
-    y = as_unit(y, tol=SPHERE_DETECT_TOL)
-    reflected = cap_reflect(cap, y)
-    inside = cap.contains(y)
-    return np.where(inside[..., None], y, reflected)
+    return _fold(cap, as_unit(y, tol=SPHERE_DETECT_TOL))
+
+
+def _fold_factor(cap, s):
+    return np.where(cap.contains(s), 1.0, _cap_reflect_factor(cap, s))
 
 
 def fold_factor(cap, s):
@@ -207,9 +256,7 @@ def fold_factor(cap, s):
     The stretch extends continuously across the cap boundary, where the
     reflection acts as an isometry.
     """
-    s = as_unit(s, tol=SPHERE_DETECT_TOL)
-    inside = cap.contains(s)
-    return np.where(inside, 1.0, cap_reflect_factor(cap, s))
+    return _fold_factor(cap, as_unit(s, tol=SPHERE_DETECT_TOL))
 
 
 def _pole_frame(pole):
@@ -248,8 +295,3 @@ def stereographic_inverse(pole, z):
     out = rotated @ q.T
     return out / _norm(out)[..., None]
 
-
-def stereographic_factor(z):
-    """Length element of the inverse chart: |D inv(z) u| = 2/(1+|z|^2) |u|."""
-    z = np.asarray(z, dtype=float)
-    return 2.0 / (1.0 + np.sum(z * z, axis=-1))

@@ -7,9 +7,9 @@ cap, then Moebius-translated so the image measure has hyperbolic center of
 mass at the origin.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,11 +20,16 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import build_sphere_rule, projective_volume
 from .sphere_geom import (
     SphericalCap,
-    cap_reflect,
-    cap_reflect_factor,
+    _cap_reflect,
+    _cap_reflect_factor,
+    _central_differences,
+    _fold,
+    _moebius,
+    _moebius_factor,
+    as_ball,
+    as_unit,
     fold_apply,
     moebius_apply,
-    moebius_factor,
     tangent_basis,
 )
 from .veronese import constants as veronese_constants
@@ -56,7 +61,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PushforwardMeasure:
-    """Finite atomic measure on a unit sphere (atom rows, positive weights)."""
+    """Finite atomic measure on a unit sphere (atom rows, positive weights).
+
+    Atoms and weights are validated and stored as float arrays once, here;
+    the centering loops trust them.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -64,6 +73,8 @@ class PushforwardMeasure:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         wts = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", wts)
         if pts.ndim != 2 or wts.ndim != 1 or pts.shape[0] != wts.shape[0]:
             raise DomainError("measure needs (N, m) atoms and (N,) weights")
         if np.min(wts) <= 0:
@@ -123,7 +134,7 @@ class CenterResult:
 
 
 def _mean_after_centering(points, weights, center, mass):
-    moved = moebius_apply(-center, points)
+    moved = _moebius(-center, points, True)
     return np.einsum("i,ij->j", weights, moved) / mass
 
 
@@ -145,7 +156,7 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
             norm_shift = np.linalg.norm(shift)
             if norm_shift >= 0.9:
                 shift *= 0.9 / norm_shift
-            candidate = moebius_apply(center, shift)
+            candidate = as_ball(_moebius(center, shift, False))
             cand_mean = _mean_after_centering(points, weights, candidate, mass)
             cand_res = float(np.linalg.norm(cand_mean))
             if cand_res < res:
@@ -178,10 +189,12 @@ def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
     whenever the residual fails to decrease.  The returned residual is
     re-verified with exactly rounded summation.
     """
+    if start is not None:
+        start = as_ball(start)
     center, res, iterations, history, mass = _center_iterate(
         measure.points, measure.weights, tol, max_iter, start=start
     )
-    moved = moebius_apply(-center, measure.points)
+    moved = _moebius(-center, measure.points, True)
     weighted = moved * measure.weights[:, None]
     exact = np.array(
         [math.fsum(weighted[:, j].tolist()) for j in range(moved.shape[1])]
@@ -220,21 +233,21 @@ class _FieldWorkspace:
         self.nodes = rule.nodes
         self.weights = 0.5 * rule.weights * w.density(rule.nodes)
         self.mass = float(np.sum(self.weights))
-        self.images = veronese_apply(self.n, self.nodes)
+        self.images = as_unit(veronese_apply(self.n, self.nodes))
         if f is None:
             self.f_values = None
         else:
             self.f_values = np.asarray(f(self.nodes), dtype=float)
 
     def folded(self, cap):
-        return fold_apply(cap, self.images)
+        return _fold(cap, self.images)
 
     def field(self, cap, com_tol=1e-10, com_start=None):
         atoms = self.folded(cap)
         center, res, iters, history, _ = _center_iterate(
             atoms, self.weights, com_tol, 500, start=com_start
         )
-        moved = moebius_apply(-center, atoms)
+        moved = _moebius(-center, atoms, True)
         vec = np.einsum("i,ij->j", self.weights * self.f_values, moved)
         return vec, center, res, iters
 
@@ -510,43 +523,41 @@ def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
 
     images = veronese_apply(n, nodes)
     inside = cap.contains(images)
-    atoms = np.where(inside[:, None], images, cap_reflect(cap, images))
+    reflected = _cap_reflect(cap, images, True)
+    atoms = np.where(inside[:, None], images, reflected)
     if center is None:
-        com = center_of_mass(PushforwardMeasure(points=atoms, weights=mass_weights))
-        center = com.center
-    center = np.asarray(center, dtype=float)
-    centered = moebius_apply(-center, atoms)
+        center = center_of_mass(PushforwardMeasure(points=atoms, weights=mass_weights)).center
+    center = as_ball(center)
+    centered = _moebius(-center, atoms, True)
 
     # -- trial components: unit images, denominators
     unit_dev = float(np.max(np.abs(np.linalg.norm(centered, axis=1) - 1.0)))
     denominators = np.einsum("k,kj->j", mass_weights, centered * centered)
     den_sum = math.fsum(denominators.tolist())
 
-    # -- finite-difference route through T_{-center} o fold
-    frames = tangent_basis(nodes)  # (N, n+1, n)
-    jac = veronese_jacobian(n, nodes)  # (N, m, n+1)
-    tangent_images = np.einsum("kmi,kin->kmn", jac, frames)  # (N, m, n)
+    # -- finite-difference route through T_{-center} o fold, along the unit
+    # directions of the Veronese images of orthonormal tangent frames
+    directions = np.einsum(
+        "kmi,kin->kmn", veronese_jacobian(n, nodes), tangent_basis(nodes)
+    )  # (N, m, n)
+    v_norm = np.linalg.norm(directions, axis=1)  # (N, n)
+    directions /= v_norm[:, None, :]
+    probe_inside = np.tile(inside, 2)
 
-    def frozen_branch(points):
-        # same smooth branch as each node's own fold membership
-        reflected = cap_reflect(cap, points)
-        branch = np.where(inside[:, None], points, reflected)
-        return moebius_apply(-center, branch)
+    def centered_branch(points):
+        # each probe stays on the fold branch of its own node
+        branch = np.where(probe_inside[:, None], points, _cap_reflect(cap, points, True))
+        return _moebius(-center, branch, True)
 
-    grad_sq = np.zeros(nodes.shape[0])  # sum_j |grad u_j|^2 at each node
-    comp_grad_sq = np.zeros((nodes.shape[0], images.shape[1]))
-    for col in range(n):
-        v = tangent_images[:, :, col]
-        v_norm = np.linalg.norm(v, axis=1)
-        direction = v / v_norm[:, None]
-        plus = images + fd_step * direction
-        plus /= np.linalg.norm(plus, axis=1, keepdims=True)
-        minus = images - fd_step * direction
-        minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-        deriv = (frozen_branch(plus) - frozen_branch(minus)) / (2.0 * fd_step)
-        deriv *= v_norm[:, None]
-        comp_grad_sq += deriv * deriv
-        grad_sq += np.sum(deriv * deriv, axis=1)
+    # one call per direction: all 2n probe sets at once hold n times the memory
+    cols = [
+        _central_differences(centered_branch, images, directions[:, :, [j]], fd_step, True)
+        for j in range(n)
+    ]
+    deriv = np.concatenate(cols, axis=-1) * v_norm[:, None, :]  # (N, m, n)
+    comp_grad_sq = np.sum(deriv * deriv, axis=-1)
+    gram = np.einsum("kmi,kmj->kij", deriv, deriv)
+    grad_sq = np.trace(gram, axis1=1, axis2=2)  # sum_j |grad u_j|^2 at each node
 
     numerators = np.einsum("k,kj->j", energy_weights, comp_grad_sq)
     energy_fd = math.fsum(numerators.tolist())
@@ -556,12 +567,11 @@ def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
     )
 
     # -- analytic conformal-stretch route
-    reflected = cap_reflect(cap, images)
-    stretch_plain = cst.conformal_scale * moebius_factor(-center, images)
+    stretch_plain = cst.conformal_scale * _moebius_factor(-center, images)
     stretch_reflected = (
         cst.conformal_scale
-        * cap_reflect_factor(cap, images)
-        * moebius_factor(-center, reflected)
+        * _cap_reflect_factor(cap, images)
+        * _moebius_factor(-center, reflected)
     )
     stretch_fold = np.where(inside, stretch_plain, stretch_reflected)
     grad_sq_analytic = n * stretch_fold**2
@@ -571,28 +581,8 @@ def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
     vol_reflected = math.fsum((half_weights * stretch_reflected**n).tolist())
     n_energy_analytic = n ** (n / 2.0) * split_vol
 
-    # -- conformality of the composite, sampled
-    sample = slice(0, min(64, nodes.shape[0]))
-    frame_dev = 0.0
-    for k in range(*sample.indices(nodes.shape[0])):
-        cols = []
-        for col in range(n):
-            v = tangent_images[k, :, col]
-            v_norm = np.linalg.norm(v)
-            direction = v / v_norm
-            plus = images[k] + fd_step * direction
-            plus /= np.linalg.norm(plus)
-            minus = images[k] - fd_step * direction
-            minus /= np.linalg.norm(minus)
-            branch_pts = np.stack([plus, minus])
-            if inside[k]:
-                moved = moebius_apply(-center, branch_pts)
-            else:
-                moved = moebius_apply(-center, cap_reflect(cap, branch_pts))
-            cols.append((moved[0] - moved[1]) / (2.0 * fd_step) * v_norm)
-        gram = np.array(cols) @ np.array(cols).T
-        det = np.linalg.det(gram)
-        frame_dev = max(frame_dev, abs(np.trace(gram) / det ** (1.0 / n) - n))
+    # -- conformality of the composite at every node: trace / det^(1/n) = n
+    frame_dev = float(np.max(np.abs(grad_sq / np.linalg.det(gram) ** (1.0 / n) - n)))
 
     conf_volume_cap = cst.conformal_scale**n * round_vol
     final_a = 2.0 * n ** (n / 2.0) * cst.conformal_scale**n * round_vol

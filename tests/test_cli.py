@@ -88,6 +88,12 @@ def test_com_solve_synthetic(capsys, tmp_path):
     assert np.linalg.norm(np_center - np.array([0.3, 0, 0, 0])) < 1e-8
 
 
+def test_com_solve_numerical_failure_exits_3(capsys):
+    code, _, err = run(capsys, "com-solve", "--shift", "0.9,0,0", "--max-iter", "1")
+    assert code == 3
+    assert err.startswith("numerical failure")
+
+
 def test_com_solve_pushforward_mode(capsys):
     code, out, _ = run(capsys, "com-solve", "--dim", "2", "--factor", "round", "--t", "0.4")
     assert code == 0

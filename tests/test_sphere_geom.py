@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rplap import sphere_geom as sg
 from rplap.errors import DomainError
 from rplap.sphere_geom import (
     CAP_T_MAX,
+    SPHERE_DETECT_TOL,
     SphericalCap,
     as_ball,
     as_unit,
@@ -24,6 +26,7 @@ from rplap.sphere_geom import (
     stereographic_inverse,
     tangent_basis,
 )
+from rplap.veronese import output_dim, veronese_apply, veronese_jacobian
 
 FD_STEP = 1e-6
 
@@ -189,6 +192,71 @@ def test_fold_factor_is_unit_on_the_kept_side(rng):
     inside = cap.contains(pts)
     npt.assert_array_equal(fold_factor(cap, pts)[inside], 1.0)
     assert np.all(fold_factor(cap, pts)[~inside] > 1.0)
+
+
+# --- kernels and their validating public wrappers -----------------------------
+
+
+def ball_rows(raw, radius=0.9):
+    raw = np.atleast_2d(raw)
+    return radius * raw / (1.0 + np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+def mirror_of(raw):
+    return raw if np.linalg.norm(raw) >= 1e-2 else np.eye(raw.shape[0])[0]
+
+
+@given(coords(4), arrays(np.float64, (5, 4), elements=st.floats(-1.0, 1.0)), coords(4))
+def test_kernels_equal_their_wrappers_on_sphere_points(x, raw, mirror):
+    x = ball_rows(x)[0]
+    y = unit_rows(raw)
+    s = as_unit(y, tol=SPHERE_DETECT_TOL)
+    mirror = mirror_of(mirror)
+    npt.assert_array_equal(sg._moebius(x, y, True), moebius_apply(x, y))
+    npt.assert_array_equal(sg._moebius_factor(x, s), moebius_factor(x, y))
+    npt.assert_array_equal(sg._reflect(y, mirror, True), reflect(y, mirror))
+
+
+@given(coords(4), arrays(np.float64, (5, 4), elements=st.floats(-1.0, 1.0)), coords(4))
+def test_kernels_equal_their_wrappers_on_ball_points(x, raw, mirror):
+    x = ball_rows(x)[0]
+    y = ball_rows(raw)
+    mirror = mirror_of(mirror)
+    cap = SphericalCap(unit_rows(mirror)[0], 0.5)
+    npt.assert_array_equal(sg._moebius(x, y, False), moebius_apply(x, y))
+    npt.assert_array_equal(sg._reflect(y, mirror, False), reflect(y, mirror))
+    npt.assert_array_equal(sg._cap_reflect(cap, y, False), cap_reflect(cap, y))
+
+
+@given(st.floats(0.0, 0.9), coords(3), arrays(np.float64, (6, 3), elements=st.floats(-1.0, 1.0)))
+def test_cap_kernels_equal_their_wrappers(t, pole, raw):
+    cap = SphericalCap(unit_rows(pole)[0], t)
+    y = unit_rows(raw)
+    s = as_unit(y, tol=SPHERE_DETECT_TOL)
+    npt.assert_array_equal(sg._cap_reflect(cap, y, True), cap_reflect(cap, y))
+    npt.assert_array_equal(sg._cap_reflect_factor(cap, s), cap_reflect_factor(cap, y))
+    npt.assert_array_equal(sg._fold(cap, s), fold_apply(cap, y))
+    npt.assert_array_equal(sg._fold_factor(cap, s), fold_factor(cap, y))
+
+
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_central_differences_match_the_veronese_jacobian_on_tangent_frames(n, seed):
+    x = unit_rows(np.random.default_rng(seed).normal(size=(7, n + 1)))
+    frames = tangent_basis(x)
+    cols = sg._central_differences(
+        lambda p: veronese_apply(n, p), x, frames, 1e-5, on_sphere=True
+    )
+    assert cols.shape == (7, output_dim(n), n)
+    npt.assert_allclose(cols, veronese_jacobian(n, x) @ frames, atol=1e-8)
+
+
+@given(arrays(np.float64, (3, 4), elements=st.floats(-2.0, 2.0)), st.integers(0, 2**31 - 1))
+def test_central_differences_recover_a_linear_map(matrix, seed):
+    points = np.random.default_rng(seed).normal(size=(5, 4))
+    cols = sg._central_differences(
+        lambda p: p @ matrix.T, points, np.eye(4)[None], 1e-6, on_sphere=False
+    )
+    npt.assert_allclose(cols, np.broadcast_to(matrix, (5, 3, 4)), atol=1e-8)
 
 
 # --- stereographic chart ------------------------------------------------------

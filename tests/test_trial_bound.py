@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rplap import trial_bound
 from rplap.errors import DomainError
 from rplap.quadrature import projective_volume
 from rplap.sphere_geom import SphericalCap
@@ -111,6 +112,13 @@ def test_center_recovery_random_directions(seed):
     npt.assert_allclose(result.center, shift, atol=1e-8)
 
 
+@pytest.mark.parametrize("start", [[1.0, 0.0, 0.0], [0.8, 0.0, -0.7]])
+def test_center_rejects_a_start_outside_the_open_ball(start):
+    measure = moebius_shifted_uniform(3, np.array([0.2, 0.0, 0.0]), pairs=16)
+    with pytest.raises(DomainError):
+        center_of_mass(measure, start=np.array(start))
+
+
 def test_center_history_residuals_reach_tolerance():
     measure = moebius_shifted_uniform(3, np.array([0.5, 0.2, 0.0]), seed=4)
     result = center_of_mass(measure, tol=1e-12)
@@ -197,6 +205,26 @@ def test_chain_perturbed_metric():
     values = report.values
     assert values["volume_plain"] <= values["conformal_volume_bound"] * (1 + 1e-9)
     assert values["volume_reflected"] <= values["conformal_volume_bound"] * (1 + 1e-9)
+
+
+def test_chain_rejects_a_center_outside_the_open_ball():
+    cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.45)
+    with pytest.raises(DomainError):
+        rayleigh_chain(round_factor(2), cap, center=np.eye(5)[2])
+
+
+def test_chain_frame_identity_covers_the_reflected_branch(monkeypatch):
+    # A non-conformal stand-in for the cap reflection changes only the nodes
+    # outside the cap, so the stage must look at every node to see it.
+    def stretched(cap, y, unit):
+        out = y * np.array([1.5, 1.0, 1.0, 1.0, 1.0])
+        return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+    monkeypatch.setattr(trial_bound, "_cap_reflect", stretched)
+    cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.45)
+    report = rayleigh_chain(round_factor(2), cap)
+    stages = {stage.stage_id: stage for stage in report.stages}
+    assert not stages["frame-identity"].passed
 
 
 def test_chain_dimension_three():

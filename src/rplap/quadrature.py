@@ -149,15 +149,14 @@ def integrate(rule, f):
     raise DomainError("integrand must return scalars or 1-D vectors per node")
 
 
-def integrate_projective(rule, f, check_even=True):
+def integrate_projective(rule, f):
     """Integrate an even integrand over projective space (= half sphere integral)."""
-    if check_even:
-        sample = rule.nodes[: min(32, rule.size)]
-        plus = np.asarray(f(sample), dtype=float)
-        minus = np.asarray(f(-sample), dtype=float)
-        scale = np.max(np.abs(plus)) + 1.0
-        if np.max(np.abs(plus - minus)) > 1e-9 * scale:
-            raise DomainError("integrand is not even; projective integral undefined")
+    sample = rule.nodes[: min(32, rule.size)]
+    plus = np.asarray(f(sample), dtype=float)
+    minus = np.asarray(f(-sample), dtype=float)
+    scale = np.max(np.abs(plus)) + 1.0
+    if np.max(np.abs(plus - minus)) > 1e-9 * scale:
+        raise DomainError("integrand is not even; projective integral undefined")
     result = integrate(rule, f)
     return 0.5 * result
 

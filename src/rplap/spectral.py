@@ -1,11 +1,14 @@
 """Laplacian spectra of conformal metrics on real projective space.
 
 A metric is specified by a positive even conformal factor w against the round
-metric on S^n (n = 2 or 3).  Eigenvalues are computed by Galerkin projection
-onto even-degree spherical harmonics: stiffness entries carry the weight
-w^{(n-2)/2}, mass entries w^{n/2}, both integrated over projective space, and
-the generalized symmetric problem is reduced by a Cholesky factorization of
-the mass matrix inside the dense symmetric eigensolver.
+metric on S^n (n = 2 or 3).  One weighting, `_projective_weights`, serves
+every integral over projective space: half the rule weights times the volume
+density w^{n/2} or the Dirichlet-energy weight w^{(n-2)/2}.  Eigenvalues are
+computed by Galerkin projection onto even-degree spherical harmonics.  The
+mass and stiffness matrices are Gram products of the basis values and
+tangential gradients scaled by the square roots of those weights, and the
+generalized symmetric problem is reduced by a Cholesky factorization of the
+mass matrix inside the dense symmetric eigensolver.
 """
 
 from dataclasses import dataclass, field, replace
@@ -20,7 +23,6 @@ from .errors import AssemblyError, ConfigError, DomainError, NumericError
 from .quadrature import (
     QuadratureRule,
     build_sphere_rule,
-    integrate_projective,
     projective_volume,
 )
 
@@ -71,10 +73,6 @@ class ConformalFactor:
     def density(self, points):
         """Volume density w^{n/2} against the round measure."""
         return self.values(points) ** (self.sphere_dim / 2.0)
-
-    def energy_weight(self, points):
-        """Stiffness weight w^{(n-2)/2}; identically 1 when n = 2."""
-        return self.values(points) ** ((self.sphere_dim - 2) / 2.0)
 
     def validate(self, seed=7):
         rng = np.random.default_rng(seed)
@@ -180,11 +178,28 @@ def default_rule(n, basis_degree=None, margin=8):
     return build_sphere_rule(n, 2 * basis_degree + margin)
 
 
+def _projective_weights(w, rule):
+    """w at the rule's nodes and the metric's projective quadrature weights.
+
+    Returns (wv, mass, energy) with mass = 0.5 * rule.weights * w^{n/2} and
+    energy = 0.5 * rule.weights * w^{(n-2)/2}; the half turns the antipodally
+    symmetric sphere rule into one over projective space.  Raises
+    AssemblyError unless w is positive and finite at every node.
+    """
+    n = w.sphere_dim
+    wv = w.values(rule.nodes)
+    if np.min(wv) <= 0 or not np.all(np.isfinite(wv)):
+        raise AssemblyError("conformal factor not positive at quadrature nodes")
+    half = 0.5 * rule.weights
+    return wv, half * wv ** (n / 2.0), half * wv ** ((n - 2) / 2.0)
+
+
 def volume(w, rule=None):
     """Volume of projective space under the metric w * g."""
     if rule is None:
         rule = default_rule(w.sphere_dim)
-    return integrate_projective(rule, w.density, check_even=False)
+    _, mass, _ = _projective_weights(w, rule)
+    return math.fsum(mass.tolist())
 
 
 def normalize_volume(w, rule=None):
@@ -205,8 +220,9 @@ def assemble_matrices(w, basis_degree=None, rule=None):
 
     Returns (stiffness, mass, basis, rule).  Stiffness entries integrate
     grad Y_i . grad Y_j w^{(n-2)/2}; mass entries Y_i Y_j w^{n/2}; both over
-    projective space (half sphere).  The mass matrix must come out positive
-    definite or assembly fails.
+    projective space (half sphere), as exactly symmetric Gram products G^T G
+    of the weighted basis values or gradients.  The mass matrix must come out
+    positive definite or assembly fails.
     """
     n = w.sphere_dim
     if basis_degree is None:
@@ -216,19 +232,13 @@ def assemble_matrices(w, basis_degree=None, rule=None):
     if rule is None:
         rule = default_rule(n, basis_degree)
     base = harmonics.basis(n, basis_degree)
-    nodes = rule.nodes
-    half_weights = 0.5 * rule.weights
-    wv = w.values(nodes)
-    if np.min(wv) <= 0 or not np.all(np.isfinite(wv)):
-        raise AssemblyError("conformal factor not positive at quadrature nodes")
-    values = base.evaluate(nodes)
-    grads = base.tangential_gradients(nodes)
-    mass_weight = half_weights * wv ** (n / 2.0)
-    energy_weight = half_weights * wv ** ((n - 2) / 2.0)
-    mass = np.einsum("k,ki,kj->ij", mass_weight, values, values)
-    stiffness = np.einsum("k,kid,kjd->ij", energy_weight, grads, grads)
-    mass = 0.5 * (mass + mass.T)
-    stiffness = 0.5 * (stiffness + stiffness.T)
+    _, mass_weight, energy_weight = _projective_weights(w, rule)
+    rows = base.evaluate(rule.nodes) * np.sqrt(mass_weight)[:, None]
+    mass = rows.T @ rows
+    grads = base.tangential_gradients(rule.nodes)
+    grads = np.swapaxes(grads, 1, 2) * np.sqrt(energy_weight)[:, None, None]
+    grads = grads.reshape(-1, base.size)
+    stiffness = grads.T @ grads
     try:
         scipy.linalg.cholesky(mass)
     except scipy.linalg.LinAlgError as exc:

@@ -106,8 +106,8 @@ def moebius_apply(x, y):
 
 def _moebius_factor(x, s):
     xx = np.sum(x * x, axis=-1)
-    xs = np.sum(x * s, axis=-1)
-    denom = 1.0 + xx + 2.0 * xs
+    gap = x + s
+    denom = np.sum(gap * gap, axis=-1)
     if np.min(denom) <= _DENOM_TOL:
         raise DomainError("Moebius factor degenerate: s antipodal to x at |x| -> 1")
     return (1.0 - xx) / denom
@@ -117,7 +117,9 @@ def moebius_factor(x, s):
     """Conformal stretch of T_x on the unit sphere at the point s.
 
     |D T_x(s) u| = factor * |u| for u tangent at s, with
-    factor = (1 - |x|^2) / (1 + |x|^2 + 2 x.s).
+    factor = (1 - |x|^2) / (1 + |x|^2 + 2 x.s).  The two denominators are
+    equal for unit s; |x + s|^2 is the one computed, since it does not cancel
+    as |x| -> 1 with s near -x/|x|.
     """
     return _moebius_factor(as_ball(x), as_unit(s, tol=SPHERE_DETECT_TOL))
 
@@ -225,9 +227,8 @@ def cap_reflect(cap, y):
 def _cap_reflect_factor(cap, s):
     shift = cap.t * cap.pole
     outer = _reflect(_moebius(-shift, s, True), cap.pole, True)
-    # outer is renormalized once more, as moebius_factor's validation does:
-    # near -pole the denominator 1 + |x|^2 + 2 x.s cancels as t -> 1, where
-    # one ulp in outer moves the fold limit tables by 1e-11.
+    # outer is renormalized, as moebius_factor's validation does: the
+    # denominator |x + s|^2 of _moebius_factor holds for unit s only
     return _moebius_factor(shift, _snap(outer, True)) * _moebius_factor(-shift, s)
 
 

@@ -100,13 +100,10 @@ def pushforward_measure(w, cap, rule=None):
     Quadrature nodes on S^n carry half weights (projective space) times the
     volume density w^{n/2}; atoms are their folded Veronese images in the cap.
     """
-    n = w.sphere_dim
     if rule is None:
-        rule = spectral.default_rule(n)
-    images = veronese_apply(n, rule.nodes)
-    atoms = fold_apply(cap, images)
-    weights = 0.5 * rule.weights * w.density(rule.nodes)
-    return PushforwardMeasure(points=atoms, weights=weights)
+        rule = spectral.default_rule(w.sphere_dim)
+    ws = _FieldWorkspace(w, rule)
+    return PushforwardMeasure(points=ws.folded(cap), weights=ws.weights)
 
 
 def moebius_shifted_uniform(ambient_dim, shift, pairs=128, seed=0):
@@ -228,16 +225,10 @@ class _FieldWorkspace:
     """Precomputed node data for repeated vector-field evaluations."""
 
     def __init__(self, w, rule, f=None):
-        self.n = w.sphere_dim
-        self.rule = rule
-        self.nodes = rule.nodes
-        self.weights = 0.5 * rule.weights * w.density(rule.nodes)
+        _, self.weights, _ = spectral._projective_weights(w, rule)
         self.mass = float(np.sum(self.weights))
-        self.images = as_unit(veronese_apply(self.n, self.nodes))
-        if f is None:
-            self.f_values = None
-        else:
-            self.f_values = np.asarray(f(self.nodes), dtype=float)
+        self.images = as_unit(veronese_apply(w.sphere_dim, rule.nodes))
+        self.f_values = None if f is None else np.asarray(f(rule.nodes), dtype=float)
 
     def folded(self, cap):
         return _fold(cap, self.images)
@@ -514,10 +505,8 @@ def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
         # so the chain needs a finer rule than the Galerkin assembly does
         rule = build_sphere_rule(n, 60 if n == 2 else 40)
     nodes = rule.nodes
-    half_weights = 0.5 * rule.weights
-    wv = w.values(nodes)
-    mass_weights = half_weights * wv ** (n / 2.0)
-    energy_weights = half_weights * wv ** ((n - 2) / 2.0)
+    wv, mass_weights, energy_weights = spectral._projective_weights(w, rule)
+    half_weights = 0.5 * rule.weights  # the round measure on projective space
     metric_vol = math.fsum(mass_weights.tolist())
     round_vol = projective_volume(n)
 

@@ -6,8 +6,10 @@ import pytest
 
 from rplap.errors import AssemblyError, ConfigError, DomainError
 from rplap.quadrature import projective_volume
+from rplap.sphere_geom import SphericalCap
 from rplap.spectral import (
     ConformalFactor,
+    assemble_matrices,
     cluster_eigenvalues,
     constant_factor,
     default_rule,
@@ -20,6 +22,8 @@ from rplap.spectral import (
     volume,
     zonal_factor,
 )
+from rplap.trial_bound import pushforward_measure, rayleigh_chain
+from rplap.veronese import veronese_apply
 
 # regression anchor: zonal:0.5 on S^2, basis degree 8, unnormalized
 ZONAL_HALF_HEAD = [0.0, 5.435194338268, 5.647867029543, 5.647867029543]
@@ -136,6 +140,36 @@ def test_assembly_rejects_nonpositive_factor():
         eigenvalues(bad)
     with pytest.raises(DomainError):
         bad.validate()
+    # every projective integral goes through the same positivity check
+    bad = ConformalFactor(sphere_dim=3, raw=lambda pts: pts[:, 3], label="signed")
+    cap = SphericalCap(veronese_apply(3, np.eye(4)[:1])[0], 0.3)
+    for integral in (volume, normalize_volume):
+        with pytest.raises(AssemblyError):
+            integral(bad)
+    with pytest.raises(AssemblyError):
+        rayleigh_chain(bad, cap)
+    with pytest.raises(AssemblyError):
+        pushforward_measure(bad, cap)
+
+
+@pytest.mark.parametrize(
+    "n, spec", [(2, "zonal:0.7"), (2, "exp:2,1,0.2;4,3,-0.05"), (3, "exp:2,0,0.2")]
+)
+def test_gram_assembly_matches_the_einsum_reference(n, spec):
+    w = parse_factor(spec, n)
+    stiffness, mass, base, rule = assemble_matrices(w)
+    # reference: the weighted sums over nodes written out term by term
+    half = 0.5 * rule.weights
+    wv = w.values(rule.nodes)
+    values = base.evaluate(rule.nodes)
+    grads = base.tangential_gradients(rule.nodes)
+    ref_mass = np.einsum("k,ki,kj->ij", half * wv ** (n / 2.0), values, values)
+    ref_stiffness = np.einsum(
+        "k,kid,kjd->ij", half * wv ** ((n - 2) / 2.0), grads, grads
+    )
+    for got, ref in ((mass, ref_mass), (stiffness, ref_stiffness)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
 
 
 def test_odd_basis_degree_rejected():

@@ -1,9 +1,16 @@
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rplap
 from rplap import trial_bound
 from rplap.errors import DomainError
 from rplap.quadrature import projective_volume
@@ -259,3 +266,29 @@ def test_theorem_dimension_three():
     assert report.passed
     npt.assert_allclose(report.lambda_2, 8.0, atol=1e-8)
     npt.assert_allclose(report.bound, 12.6992084157, atol=1e-9)
+
+
+_THEOREM_CHECK_SCRIPT = """
+import json
+from rplap.spectral import parse_factor
+from rplap.trial_bound import theorem_check
+report = theorem_check(parse_factor("exp:2,0,0.2", 3), include_gap=True)
+print(json.dumps([report.eigenvalues, report.passed]))
+"""
+
+
+def test_theorem_check_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(rplap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _THEOREM_CHECK_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(done.stdout))
+    (one, passed_one), (two, passed_two) = runs
+    one, two = np.array(one), np.array(two)
+    assert np.max(np.abs(two - one)) <= 1e-12 * np.max(np.abs(one))
+    assert passed_one == passed_two

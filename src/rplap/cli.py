@@ -681,7 +681,7 @@ def build_parser():
     _add_common(sub)
     sub.add_argument("--dim")
     sub.add_argument("--factor")
-    sub.add_argument("--starts")
+    sub.add_argument("--starts", help="slice-grid cells polished by least squares")
     sub.add_argument("--seed")
     sub.add_argument("--maxiter")
     sub.add_argument("--t-max")

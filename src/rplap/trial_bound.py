@@ -12,7 +12,8 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
+from scipy.optimize import minimize  # noqa: F401  (perfbench wraps trial_bound.minimize)
 
 from . import spectral
 from .bounds import bound_constants
@@ -130,42 +131,39 @@ class CenterResult:
     verified_residual: float  # recomputed with exact (fsum) summation
 
 
-def _mean_after_centering(points, weights, center, mass):
+def _centered(points, weights, center, mass):
     moved = _moebius(-center, points, True)
-    return np.einsum("i,ij->j", weights, moved) / mass
+    return moved, np.einsum("i,ij->j", weights, moved) / mass
 
 
 def _center_iterate(points, weights, tol, max_iter, start=None):
     mass = float(np.sum(weights))
     dim = points.shape[1]
     center = np.zeros(dim) if start is None else np.asarray(start, dtype=float).copy()
-    base_step = dim / (2.0 * (dim - 1.0))
-    step = base_step
-    mean = _mean_after_centering(points, weights, center, mass)
+    moved, mean = _centered(points, weights, center, mass)
     res = float(np.linalg.norm(mean))
     history = [res]
     iterations = 0
     while res > tol and iterations < max_iter:
         iterations += 1
-        accepted = False
-        for _ in range(60):
-            shift = step * mean
-            norm_shift = np.linalg.norm(shift)
-            if norm_shift >= 0.9:
-                shift *= 0.9 / norm_shift
-            candidate = as_ball(_moebius(center, shift, False))
-            cand_mean = _mean_after_centering(points, weights, candidate, mass)
+        # Newton in the recentred frame: the sum of T_{-d}(y) over the moved
+        # atoms has Jacobian -2 (mass I - sum w y y^T) at d = 0
+        second = np.einsum("i,ij,ik->jk", weights, moved, moved) / mass
+        shift = 0.5 * np.linalg.solve(np.eye(dim) - second, mean)
+        norm_shift = np.linalg.norm(shift)
+        if norm_shift >= 0.9:
+            shift *= 0.9 / norm_shift
+        scale = 1.0
+        while scale >= 1e-10:
+            candidate = as_ball(_moebius(center, scale * shift, False))
+            cand_moved, cand_mean = _centered(points, weights, candidate, mass)
             cand_res = float(np.linalg.norm(cand_mean))
             if cand_res < res:
-                center, mean, res = candidate, cand_mean, cand_res
-                step = min(step * 1.3, 1.0)
-                accepted = True
+                center, moved, mean, res = candidate, cand_moved, cand_mean, cand_res
                 break
-            step *= 0.5
-            if step < 1e-10:
-                break
+            scale *= 0.5
         history.append(res)
-        if not accepted:
+        if scale < 1e-10:
             raise ConvergenceError(
                 f"center-of-mass step collapsed at residual {res:.3g}", history
             )
@@ -181,10 +179,13 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
 def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
     """Hyperbolic center: the c with integral of T_{-c} against the measure = 0.
 
-    Damped fixed-point iteration from c = 0 (or `start`): move c by a step of
-    the current mean through the ball's Moebius translation, halving the step
-    whenever the residual fails to decrease.  The returned residual is
-    re-verified with exactly rounded summation.
+    Newton's method from c = 0 (or `start`) in the recentred frame: with the
+    atoms moved by T_{-c}, their mean m and second moment S per unit mass,
+    the step d = (I - S)^{-1} m / 2 solves the linearised centering, and c
+    moves to T_c(d).  T_{-T_c(d)} is T_{-d} o T_{-c} up to a rotation, so the
+    update keeps the zero set.  Steps are capped at |d| <= 0.9 and halved
+    until the residual decreases.  The returned residual is re-verified with
+    exactly rounded summation.
     """
     if start is not None:
         start = as_ball(start)
@@ -296,19 +297,19 @@ class SearchResult:
     mass: float
     trace: tuple  # best-so-far residuals, one entry per objective evaluation
     evaluations: int
-    start_results: tuple  # (residual, t) per start
+    start_results: tuple  # (residual, t) per least-squares polish
 
 
 def _principal_slice_basis(w, f, rule, seed=0):
     """Pole directions adapted to the quadratic part of f.
 
-    Fits the best quadratic form f(y) ~ y^T A y, takes the eigenframe of A,
-    and returns the image-coordinate vectors of the diagonal traceless
-    quadratics in that frame (an orthonormal family of n directions).  The
-    field restricted to poles in their span stays in that span, so a zero of
-    the restricted field is a genuine zero; the slice gives strong starts
-    even when f is only approximately quadratic.  Returns None when f has no
-    usable quadratic part.
+    Fits the best quadratic form f(y) ~ y^T A y, takes the eigenframe of A
+    (the standard frame when f has no quadratic part), and returns the
+    image-coordinate vectors of the diagonal traceless quadratics in that
+    frame (an orthonormal family of n directions).  The field restricted to
+    poles in their span stays in that span, so a zero of the restricted field
+    is a genuine zero; the slice gives strong starts even when f is only
+    approximately quadratic.
     """
     n = w.sphere_dim
     rng = np.random.default_rng(seed)
@@ -319,9 +320,7 @@ def _principal_slice_basis(w, f, rule, seed=0):
     quad = coef.reshape(n + 1, n + 1)
     quad = 0.5 * (quad + quad.T)
     quad -= np.trace(quad) / (n + 1) * np.eye(n + 1)
-    if np.linalg.norm(quad) < 1e-6:
-        return None
-    _, frame = np.linalg.eigh(quad)
+    frame = np.linalg.eigh(quad)[1] if np.linalg.norm(quad) >= 1e-6 else np.eye(n + 1)
 
     phi = veronese_apply(n, rule.nodes)
     gram = np.einsum("k,ki,kj->ij", rule.weights, phi, phi)
@@ -348,16 +347,19 @@ def search_vector_field_zero(
     seed=0,
     t_max=0.999,
     maxiter=250,
-    com_tol=1e-9,
+    com_tol=1e-12,
 ):
-    """Multi-start minimization of |V(pole, t)| / mass over cap parameters.
+    """Zero of V(pole, t): slice-grid scan, then a least-squares polish.
 
     w is volume-normalized first; f defaults to the first excited
-    eigenfunction of the metric.  Random starts are joined by one
-    symmetry-adapted start: a scan over poles in the principal slice of f's
-    quadratic part, where the field is tangent to the slice and its zero is
-    low-dimensional to locate, followed by an unrestricted polish.
-    Deterministic for fixed seed.
+    eigenfunction of the metric.  A grid over poles in the principal slice of
+    f's quadratic part (where the field is tangent to the slice) and over t
+    is scanned first; the `starts` lowest-residual grid cells are then
+    polished by least squares on the vector residual V / mass over
+    (direction, t), each with at most `maxiter` evaluations besides those of
+    its finite-difference Jacobians.  `seed` seeds the slice fit; there are
+    no random starts, and the result is deterministic.  V is only as accurate
+    as its center, so the centering tolerance sits below the polish's target.
     """
     n = w.sphere_dim
     if rule is None:
@@ -367,63 +369,47 @@ def search_vector_field_zero(
         f = spectral.first_excited_state(spectral.eigenvalues(w, basis_degree))
     ws = _FieldWorkspace(w, rule, f=f)
     ambient = ws.images.shape[1]
-    rng = np.random.default_rng(seed)
     t_cap = min(t_max, 0.999)
 
     trace = []
     best = {"residual": np.inf, "pole": None, "t": None, "center": None}
-    state = {"com_start": None, "evals": 0}
+    state = {"com_start": None}
 
-    def residual_at(pole, t):
-        cap = SphericalCap(pole, t)
-        vec, center, _, _ = ws.field(cap, com_tol=com_tol, com_start=state["com_start"])
-        state["com_start"] = center
-        state["evals"] += 1
-        res = float(np.linalg.norm(vec)) / ws.mass
-        if res < best["residual"]:
-            best.update(residual=res, pole=pole, t=t, center=center)
-        trace.append(best["residual"])
-        return res
-
-    def objective(params):
+    def field_at(params):
         direction = params[:ambient]
         norm = np.linalg.norm(direction)
         if norm < 1e-8:
-            direction = np.eye(ambient)[0]
-            norm = 1.0
-        return residual_at(direction / norm, float(np.clip(params[ambient], 0.0, t_cap)))
-
-    nm_options = {"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-16}
-    start_results = []
+            direction, norm = np.eye(ambient)[0], 1.0
+        pole, t = direction / norm, float(np.clip(params[ambient], 0.0, t_cap))
+        vec, center, _, _ = ws.field(
+            SphericalCap(pole, t), com_tol=com_tol, com_start=state["com_start"]
+        )
+        state["com_start"] = center
+        vec = vec / ws.mass
+        res = float(np.linalg.norm(vec))
+        if res < best["residual"]:
+            best.update(residual=res, pole=pole, t=t, center=center)
+        trace.append(best["residual"])
+        return vec
 
     slice_basis = _principal_slice_basis(w, f, rule, seed=seed)
-    if slice_basis is not None:
-        state["com_start"] = None
-        grid_best = (np.inf, 0.0, 0.0)
-        for angle in np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False):
-            direction = slice_basis @ np.concatenate(
-                [[math.cos(angle), math.sin(angle)], np.zeros(slice_basis.shape[1] - 2)]
-            )
-            for t0 in np.linspace(0.0, min(0.9, t_cap), 10):
-                res = residual_at(direction, float(t0))
-                if res < grid_best[0]:
-                    grid_best = (res, direction, float(t0))
-        out = minimize(
-            objective,
-            np.concatenate([grid_best[1], [grid_best[2]]]),
-            method="Nelder-Mead",
-            options={"maxiter": max(maxiter, 2000), "xatol": 1e-12, "fatol": 1e-16},
+    cells = []
+    for angle in np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False):
+        direction = slice_basis @ np.concatenate(
+            [[math.cos(angle), math.sin(angle)], np.zeros(slice_basis.shape[1] - 2)]
         )
-        start_results.append((float(out.fun), float(np.clip(out.x[ambient], 0.0, t_cap))))
+        for t0 in np.linspace(0.0, min(0.9, t_cap), 10):
+            params = np.append(direction, t0)
+            cells.append((float(np.linalg.norm(field_at(params))), params))
 
-    for _ in range(starts):
-        pole0 = rng.standard_normal(ambient)
-        pole0 /= np.linalg.norm(pole0)
-        t0 = rng.uniform(0.0, t_cap)
+    start_results = []
+    for _, params in sorted(cells, key=lambda cell: cell[0])[:starts]:
         state["com_start"] = None
-        x0 = np.concatenate([pole0, [t0]])
-        out = minimize(objective, x0, method="Nelder-Mead", options=nm_options)
-        start_results.append((float(out.fun), float(np.clip(out.x[ambient], 0.0, t_cap))))
+        # scipy's default gtol = 1e-8 would stop the polish near |V| / mass = 1e-8
+        out = least_squares(field_at, params, xtol=1e-15, gtol=1e-15, max_nfev=maxiter)
+        start_results.append(
+            (float(np.linalg.norm(out.fun)), float(np.clip(out.x[ambient], 0.0, t_cap)))
+        )
     return SearchResult(
         pole=best["pole"],
         t=best["t"],
@@ -431,7 +417,7 @@ def search_vector_field_zero(
         residual=best["residual"],
         mass=ws.mass,
         trace=tuple(trace),
-        evaluations=state["evals"],
+        evaluations=len(trace),
         start_results=tuple(start_results),
     )
 

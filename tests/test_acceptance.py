@@ -152,13 +152,13 @@ def test_criterion_5_center_of_mass(capsys):
         worst_err = max(worst_err, float(np.linalg.norm(result.center - shift)))
         worst_res = max(worst_res, result.verified_residual)
         worst_iters = max(worst_iters, result.iterations)
-    ok = worst_err <= 1e-8 and worst_res <= 1e-10 and worst_iters <= 500
+    ok = worst_err <= 1e-8 and worst_res <= 1e-10 and worst_iters <= 10
     report(
         capsys,
         ok,
         f"criterion 5: center recovery through |shift| = 0.9 "
         f"(error {worst_err:.1e} <= 1e-8, residual {worst_res:.1e} <= 1e-10, "
-        f"{worst_iters} <= 500 iterations)",
+        f"{worst_iters} <= 10 iterations)",
     )
 
 

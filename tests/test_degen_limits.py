@@ -62,7 +62,7 @@ def test_fold_half_circle_approaches_three_pi():
     # t = 0: plain reflection, an isometry; the length is preserved
     npt.assert_allclose(rows[0].volume, math.pi, rtol=1e-9)
     # t -> 1: the folded image covers the sphere once plus the original arc
-    npt.assert_allclose(rows[-1].volume, 9.4207766070, atol=1e-6)
+    npt.assert_allclose(rows[-1].volume, 9.4207766070, rtol=0, atol=1e-6)
     assert abs(rows[-1].volume - 3.0 * math.pi) < 0.005 * 3.0 * math.pi
     assert rows[0].volume < rows[1].volume < rows[2].volume
 
@@ -89,7 +89,7 @@ def test_fold_cap_patch_matches_closed_form():
         small = 2.0 * math.pi * (1.0 - tau)
         exact = (patch_area - small) + (4.0 * math.pi - small)
         npt.assert_allclose(row.volume, exact, rtol=rtol)
-    npt.assert_allclose(rows[2].volume, 14.40259110, atol=1e-4)
+    npt.assert_allclose(rows[2].volume, 14.40259110, rtol=0, atol=1e-4)
 
 
 def test_fold_veronese_patch_stays_bounded():
@@ -132,7 +132,7 @@ def test_moebius_cap_patch_matches_the_image_cap():
         # the image of a cap is a cap; its boundary height gives the area
         height = moebius_apply(x, boundary[None])[0][2]
         npt.assert_allclose(rows[0].volume, 2.0 * math.pi * (1.0 - height), rtol=1e-6)
-        npt.assert_allclose(rows[0].volume, frozen, atol=1e-6)
+        npt.assert_allclose(rows[0].volume, frozen, rtol=0, atol=1e-6)
         assert rows[0].within_bound
 
 

@@ -58,7 +58,7 @@ def test_doubling_map_has_two_positive_preimages():
     assert result.preimages.shape == (2, 2)
     assert list(result.signs) == [1, 1]
     # the two preimages of z are +/- its square roots
-    npt.assert_allclose(result.preimages[0], -result.preimages[1], atol=1e-9)
+    npt.assert_allclose(result.preimages[0], -result.preimages[1], rtol=0, atol=1e-9)
 
 
 def test_orientation_reversal_shows_in_the_signs():
@@ -111,7 +111,7 @@ def test_symmetry_equator_failure():
     report = reflection_symmetry_check(registry()["antipodal-s3"], half_dim=1)
     assert not report.passes
     # antipodal sends every equator point to its opposite, at distance 2
-    npt.assert_allclose(report.equator_deviation, 2.0, atol=1e-12)
+    npt.assert_allclose(report.equator_deviation, 2.0, rtol=0, atol=1e-12)
 
 
 def test_symmetry_dimension_guard():
@@ -123,7 +123,7 @@ def test_block_involution_is_an_involution(rng):
     pts = rng.normal(size=(20, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     twice = block_involution(block_involution(pts, 1), 1)
-    npt.assert_allclose(twice, pts, atol=1e-14)
+    npt.assert_allclose(twice, pts, rtol=0, atol=1e-14)
 
 
 def test_reflection_conjugate_is_an_involution(rng):
@@ -131,7 +131,7 @@ def test_reflection_conjugate_is_an_involution(rng):
     back = reflection_conjugate(reflection_conjugate(func, 1), 1)
     pts = rng.uniform(-0.5, 0.5, size=(10, 4))
     pts[:, 2] += 1.0  # keep the b block away from zero
-    npt.assert_allclose(back(pts), func(pts), atol=1e-12)
+    npt.assert_allclose(back(pts), func(pts), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_euclidean_translation_degree():
 
     result = euclidean_degree(lambda pts: np.atleast_2d(pts) - inside, box, seed=1)
     assert result.degree == 1
-    npt.assert_allclose(result.zeros[0], inside, atol=1e-8)
+    npt.assert_allclose(result.zeros[0], inside, rtol=0, atol=1e-8)
 
     outside = np.array([3.0, 0.0, 0.0])
     result = euclidean_degree(lambda pts: np.atleast_2d(pts) - outside, box, seed=1)

@@ -53,14 +53,14 @@ def test_mass_orthonormality_over_projective_space(n, max_degree):
     rule = build_sphere_rule(n, 2 * max_degree + 4)
     values = b.evaluate(rule.nodes)
     gram = (values.T * (0.5 * rule.weights)) @ values
-    npt.assert_allclose(gram, np.eye(b.size), atol=1e-10)
+    npt.assert_allclose(gram, np.eye(b.size), rtol=0, atol=1e-10)
 
 
 def test_functions_are_even(rng):
     b = basis(2, 6)
     pts = rng.normal(size=(30, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    npt.assert_allclose(b.evaluate(-pts), b.evaluate(pts), atol=1e-12)
+    npt.assert_allclose(b.evaluate(-pts), b.evaluate(pts), rtol=0, atol=1e-12)
 
 
 def test_harmonicity_through_the_round_eigenvalue(rng):
@@ -83,7 +83,7 @@ def test_harmonicity_through_the_round_eigenvalue(rng):
         minus /= np.linalg.norm(minus, axis=1, keepdims=True)
         lap += (b.evaluate(plus) - 2.0 * values + b.evaluate(minus)) / h**2
     eigen = b.degrees * (b.degrees + n - 1)
-    npt.assert_allclose(lap, -values * eigen[None, :], atol=5e-3)
+    npt.assert_allclose(lap, -values * eigen[None, :], rtol=0, atol=5e-3)
 
 
 def test_tangential_gradients_match_finite_differences(rng):
@@ -93,7 +93,7 @@ def test_tangential_gradients_match_finite_differences(rng):
     grads = b.tangential_gradients(pts)
     # gradients are tangent
     radial = np.einsum("kfd,kd->kf", grads, pts)
-    npt.assert_allclose(radial, 0.0, atol=1e-11)
+    npt.assert_allclose(radial, 0.0, rtol=0, atol=1e-11)
     from rplap.sphere_geom import tangent_basis
 
     h = 1e-6
@@ -106,7 +106,7 @@ def test_tangential_gradients_match_finite_differences(rng):
         minus /= np.linalg.norm(minus, axis=1, keepdims=True)
         fd = (b.evaluate(plus) - b.evaluate(minus)) / (2.0 * h)
         directional = np.einsum("kfd,kd->kf", grads, u)
-        npt.assert_allclose(directional, fd, atol=1e-5)
+        npt.assert_allclose(directional, fd, rtol=0, atol=1e-5)
 
 
 def test_block_lookup_errors():

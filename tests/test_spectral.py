@@ -34,7 +34,7 @@ def test_round_spectrum_s2():
     clusters = cluster_eigenvalues(result.eigenvalues, tol=1e-8)
     values = [(round(v, 9), m) for v, m in clusters[:3]]
     assert values == [(0.0, 1), (6.0, 5), (20.0, 9)]
-    npt.assert_allclose(result.eigenvalues[0], 0.0, atol=1e-10)
+    npt.assert_allclose(result.eigenvalues[0], 0.0, rtol=0, atol=1e-10)
 
 
 def test_round_spectrum_s3():
@@ -46,7 +46,7 @@ def test_round_spectrum_s3():
 
 def test_zonal_regression_head():
     result = eigenvalues(zonal_factor(2, 0.5), count=4)
-    npt.assert_allclose(result.eigenvalues, ZONAL_HALF_HEAD, atol=1e-9)
+    npt.assert_allclose(result.eigenvalues, ZONAL_HALF_HEAD, rtol=0, atol=1e-9)
 
 
 def test_zonal_splits_the_first_cluster():
@@ -72,7 +72,7 @@ def test_constant_rescale_scales_inversely():
     c = 2.5
     base = eigenvalues(round_factor(2), count=4).eigenvalues
     scaled = eigenvalues(constant_factor(2, c), count=4).eigenvalues
-    npt.assert_allclose(scaled, base / c, atol=1e-10)
+    npt.assert_allclose(scaled, base / c, rtol=0, atol=1e-10)
 
 
 def test_volume_and_normalization():
@@ -90,7 +90,7 @@ def test_harmonic_factor_round_trip():
     w = harmonic_factor(2, [(2, 0, 0.3), (4, 2, 0.15)])
     pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
     assert np.all(w.values(pts) > 0)
-    npt.assert_allclose(w.values(-pts), w.values(pts), atol=1e-13)
+    npt.assert_allclose(w.values(-pts), w.values(pts), rtol=0, atol=1e-13)
     with pytest.raises(DomainError):
         harmonic_factor(2, [(3, 0, 0.1)])  # odd degree has no even harmonics
 
@@ -125,7 +125,7 @@ def test_eigenfunction_gradient_consistency(rng):
     pts = rng.normal(size=(5, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     grads = u.tangential_gradient(pts)
-    npt.assert_allclose(np.einsum("kd,kd->k", grads, pts), 0.0, atol=1e-12)
+    npt.assert_allclose(np.einsum("kd,kd->k", grads, pts), 0.0, rtol=0, atol=1e-12)
 
 
 def test_cluster_eigenvalues_grouping():

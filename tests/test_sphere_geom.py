@@ -49,14 +49,27 @@ def test_moebius_is_a_sphere_bijection(x, y):
     y = unit_rows(y)
     x = 0.8 * x / (1.0 + np.linalg.norm(x))
     image = moebius_apply(x, y)
-    npt.assert_allclose(np.linalg.norm(image, axis=1), 1.0, atol=1e-12)
+    npt.assert_allclose(np.linalg.norm(image, axis=1), 1.0, rtol=0, atol=1e-12)
     # T_{-x} inverts T_x
-    npt.assert_allclose(moebius_apply(-x, image), y, atol=1e-10)
+    npt.assert_allclose(moebius_apply(-x, image), y, rtol=0, atol=1e-10)
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_moebius_translations_compose_up_to_a_rotation(seed):
+    # T_{-T_a(b)} o T_a o T_b fixes the origin, so it is orthogonal.  With
+    # |a|, |b| <= 0.75, |T_a(b)| <= 0.96 and T_{-T_a(b)} stretches by <= 49.
+    rng = np.random.default_rng(seed)
+    a, b = (rng.uniform(0.0, 0.75) * unit_rows(rng.normal(size=5))[0] for _ in range(2))
+    y = unit_rows(rng.normal(size=(40, 5)))
+    image = moebius_apply(-moebius_apply(a, b), moebius_apply(a, moebius_apply(b, y)))
+    rotation, *_ = np.linalg.lstsq(y, image, rcond=None)
+    npt.assert_allclose(y @ rotation, image, rtol=0, atol=1e-12)
+    npt.assert_allclose(rotation.T @ rotation, np.eye(5), rtol=0, atol=1e-12)
 
 
 def test_moebius_identity_at_origin(rng):
     y = unit_rows(rng.normal(size=(32, 5)))
-    npt.assert_allclose(moebius_apply(np.zeros(5), y), y, atol=1e-15)
+    npt.assert_allclose(moebius_apply(np.zeros(5), y), y, rtol=0, atol=1e-15)
     npt.assert_allclose(moebius_factor(np.zeros(5), y), 1.0, atol=0)
 
 
@@ -94,8 +107,8 @@ def test_tangent_basis_is_orthonormal_and_tangent(rng):
     x = unit_rows(rng.normal(size=(40, 6)))
     frames = tangent_basis(x)
     gram = np.einsum("kiu,kiv->kuv", frames, frames)
-    npt.assert_allclose(gram, np.broadcast_to(np.eye(5), gram.shape), atol=1e-12)
-    npt.assert_allclose(np.einsum("ki,kiu->ku", x, frames), 0.0, atol=1e-12)
+    npt.assert_allclose(gram, np.broadcast_to(np.eye(5), gram.shape), rtol=0, atol=1e-12)
+    npt.assert_allclose(np.einsum("ki,kiu->ku", x, frames), 0.0, rtol=0, atol=1e-12)
 
 
 @given(coords(3), coords(3))
@@ -105,9 +118,9 @@ def test_reflect_is_an_involutive_isometry(mirror, y):
     mirror = mirror / np.linalg.norm(mirror)
     y = unit_rows(y)
     once = reflect(y, mirror)
-    npt.assert_allclose(np.linalg.norm(once, axis=1), 1.0, atol=1e-12)
-    npt.assert_allclose(reflect(once, mirror), y, atol=1e-12)
-    npt.assert_allclose(once @ mirror, -(y @ mirror), atol=1e-12)
+    npt.assert_allclose(np.linalg.norm(once, axis=1), 1.0, rtol=0, atol=1e-12)
+    npt.assert_allclose(reflect(once, mirror), y, rtol=0, atol=1e-12)
+    npt.assert_allclose(once @ mirror, -(y @ mirror), rtol=0, atol=1e-12)
 
 
 # --- spherical caps and the fold ---------------------------------------------
@@ -143,16 +156,16 @@ def test_cap_reflect_involution(t, y):
     cap = SphericalCap(pole, t)
     y = unit_rows(y)
     image = cap_reflect(cap, y)
-    npt.assert_allclose(np.linalg.norm(image, axis=1), 1.0, atol=1e-12)
-    npt.assert_allclose(cap_reflect(cap, image), y, atol=1e-9)
+    npt.assert_allclose(np.linalg.norm(image, axis=1), 1.0, rtol=0, atol=1e-12)
+    npt.assert_allclose(cap_reflect(cap, image), y, rtol=0, atol=1e-9)
 
 
 @given(st.floats(0.05, 0.9))
 def test_cap_reflect_swaps_poles_with_known_stretch(t):
     pole = np.array([0.0, 0.0, 1.0])
     cap = SphericalCap(pole, t)
-    npt.assert_allclose(cap_reflect(cap, pole[None])[0], -pole, atol=1e-12)
-    npt.assert_allclose(cap_reflect(cap, -pole[None])[0], pole, atol=1e-12)
+    npt.assert_allclose(cap_reflect(cap, pole[None])[0], -pole, rtol=0, atol=1e-12)
+    npt.assert_allclose(cap_reflect(cap, -pole[None])[0], pole, rtol=0, atol=1e-12)
     blowup = ((1.0 + t) / (1.0 - t)) ** 2
     npt.assert_allclose(cap_reflect_factor(cap, pole[None])[0], blowup, rtol=1e-12)
     npt.assert_allclose(cap_reflect_factor(cap, -pole[None])[0], 1.0 / blowup, rtol=1e-12)
@@ -167,7 +180,7 @@ def test_cap_reflect_fixes_the_boundary_circle():
     boundary = np.stack(
         [ring * np.cos(angles), ring * np.sin(angles), np.full_like(angles, tau)], axis=-1
     )
-    npt.assert_allclose(cap_reflect(cap, boundary), boundary, atol=1e-12)
+    npt.assert_allclose(cap_reflect(cap, boundary), boundary, rtol=0, atol=1e-12)
 
 
 @given(st.floats(0.05, 0.9), coords(3))
@@ -177,10 +190,10 @@ def test_fold_branches(t, y):
     folded = fold_apply(cap, y)
     factor = fold_factor(cap, y)
     if cap.contains(y)[0]:
-        npt.assert_allclose(folded, y, atol=1e-15)
+        npt.assert_allclose(folded, y, rtol=0, atol=1e-15)
         npt.assert_allclose(factor, 1.0, atol=0)
     else:
-        npt.assert_allclose(folded, cap_reflect(cap, y), atol=1e-15)
+        npt.assert_allclose(folded, cap_reflect(cap, y), rtol=0, atol=1e-15)
         npt.assert_allclose(factor, cap_reflect_factor(cap, y), atol=0)
     # fold always lands on the kept side
     assert cap.contains(folded)[0] or abs(folded[0] @ cap.pole - cap.threshold) < 1e-9
@@ -247,7 +260,7 @@ def test_central_differences_match_the_veronese_jacobian_on_tangent_frames(n, se
         lambda p: veronese_apply(n, p), x, frames, 1e-5, on_sphere=True
     )
     assert cols.shape == (7, output_dim(n), n)
-    npt.assert_allclose(cols, veronese_jacobian(n, x) @ frames, atol=1e-8)
+    npt.assert_allclose(cols, veronese_jacobian(n, x) @ frames, rtol=0, atol=1e-8)
 
 
 @given(arrays(np.float64, (3, 4), elements=st.floats(-2.0, 2.0)), st.integers(0, 2**31 - 1))
@@ -256,7 +269,7 @@ def test_central_differences_recover_a_linear_map(matrix, seed):
     cols = sg._central_differences(
         lambda p: p @ matrix.T, points, np.eye(4)[None], 1e-6, on_sphere=False
     )
-    npt.assert_allclose(cols, np.broadcast_to(matrix, (5, 3, 4)), atol=1e-8)
+    npt.assert_allclose(cols, np.broadcast_to(matrix, (5, 3, 4)), rtol=0, atol=1e-8)
 
 
 # --- stereographic chart ------------------------------------------------------
@@ -267,8 +280,8 @@ def test_stereographic_round_trip(rng):
     y = unit_rows(rng.normal(size=(64, 4)))
     y = y[y @ pole > -0.95]  # stay away from the projection point
     z = stereographic(pole, y)
-    npt.assert_allclose(stereographic_inverse(pole, z), y, atol=1e-10)
-    npt.assert_allclose(stereographic(pole, pole[None]), 0.0, atol=1e-13)
+    npt.assert_allclose(stereographic_inverse(pole, z), y, rtol=0, atol=1e-10)
+    npt.assert_allclose(stereographic(pole, pole[None]), 0.0, rtol=0, atol=1e-13)
 
 
 @given(st.floats(0.05, 0.9), coords(3))
@@ -284,4 +297,4 @@ def test_cap_reflection_is_an_inversion_in_the_chart(t, y):
     z = stereographic(pole, y)
     lhs = stereographic(pole, cap_reflect(cap, y))
     rhs = eps**2 * z / np.sum(z * z, axis=1, keepdims=True)
-    npt.assert_allclose(lhs, rhs, atol=1e-9)
+    npt.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)

@@ -45,9 +45,9 @@ def test_constants_collapse_at_dimension_one():
 
 def test_frozen_images_on_s2():
     north = veronese_apply(2, np.array([[0.0, 0.0, 1.0]]))[0]
-    npt.assert_allclose(north, [0.0, 0.0, 0.0, 0.0, -1.0], atol=1e-15)
+    npt.assert_allclose(north, [0.0, 0.0, 0.0, 0.0, -1.0], rtol=0, atol=1e-15)
     first = veronese_apply(2, np.array([[1.0, 0.0, 0.0]]))[0]
-    npt.assert_allclose(first, [0.0, math.sqrt(3.0) / 2.0, 0.0, 0.0, 0.5], atol=1e-15)
+    npt.assert_allclose(first, [0.0, math.sqrt(3.0) / 2.0, 0.0, 0.0, 0.5], rtol=0, atol=1e-15)
 
 
 @given(
@@ -58,8 +58,8 @@ def test_image_on_unit_sphere_and_even(n, raw):
     x = sphere_points(raw, n)
     image = veronese_apply(n, x)
     assert image.shape == (3, output_dim(n))
-    npt.assert_allclose(np.linalg.norm(image, axis=1), 1.0, atol=1e-12)
-    npt.assert_allclose(veronese_apply(n, -x), image, atol=1e-14)
+    npt.assert_allclose(np.linalg.norm(image, axis=1), 1.0, rtol=0, atol=1e-12)
+    npt.assert_allclose(veronese_apply(n, -x), image, rtol=0, atol=1e-14)
 
 
 @given(
@@ -70,7 +70,7 @@ def test_gram_identity(n, raw):
     x = sphere_points(raw, n)
     dots = veronese_apply(n, x[:1]) @ veronese_apply(n, x[1:]).T
     c = float(x[0] @ x[1])
-    npt.assert_allclose(dots[0, 0], ((n + 1) * c * c - 1.0) / n, atol=1e-12)
+    npt.assert_allclose(dots[0, 0], ((n + 1) * c * c - 1.0) / n, rtol=0, atol=1e-12)
 
 
 @given(
@@ -85,10 +85,10 @@ def test_jacobian_conformality(n, raw):
     frame = tangent_basis(x)[0]
     pushed = jac @ frame
     npt.assert_allclose(
-        pushed.T @ pushed, cst.conformal_scale**2 * np.eye(n), atol=1e-12
+        pushed.T @ pushed, cst.conformal_scale**2 * np.eye(n), rtol=0, atol=1e-12
     )
     # radial part: degree-2 homogeneity gives J x = 2 Phi(x)
-    npt.assert_allclose(jac @ x[0], 2.0 * veronese_apply(n, x)[0], atol=1e-12)
+    npt.assert_allclose(jac @ x[0], 2.0 * veronese_apply(n, x)[0], rtol=0, atol=1e-12)
 
 
 def test_jacobian_matches_finite_differences(rng):
@@ -104,7 +104,7 @@ def test_jacobian_matches_finite_differences(rng):
                     veronese_apply(n, (x[k] + step)[None])
                     - veronese_apply(n, (x[k] - step)[None])
                 ) / (2.0 * h)
-                npt.assert_allclose(jac[k, :, i], fd[0], atol=1e-8)
+                npt.assert_allclose(jac[k, :, i], fd[0], rtol=0, atol=1e-8)
 
 
 def test_tangent_frame_is_conformal(rng):
@@ -113,7 +113,9 @@ def test_tangent_frame_is_conformal(rng):
     npt.assert_allclose(image, veronese_apply(3, x), atol=0)
     gram = np.einsum("kmu,kmv->kuv", frames, frames)
     scale_sq = constants(3).conformal_scale ** 2
-    npt.assert_allclose(gram, np.broadcast_to(scale_sq * np.eye(3), gram.shape), atol=1e-12)
+    npt.assert_allclose(
+        gram, np.broadcast_to(scale_sq * np.eye(3), gram.shape), rtol=0, atol=1e-12
+    )
 
 
 def test_rejects_bad_input():

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import (
     ParamSurface,
+    _tensor_rule,
     graded_interval_rule,
     interval_rule,
     product_rectangle_rule,
@@ -210,18 +211,10 @@ def _graded_nodes(box, focus, levels, panel_points):
         graded_interval_rule(lo, hi, float(f), levels=levels, panel_points=panel_points)
         for (lo, hi), f in zip(box, focus)
     ]
-    if len(per_axis) == 1:
-        return per_axis[0]
-    (nx, wx), (ny, wy) = per_axis
-    nodes = np.stack(
-        [np.repeat(nx[:, 0], ny.shape[0]), np.tile(ny[:, 0], nx.shape[0])], axis=-1
-    )
-    return nodes, (wx[:, None] * wy[None, :]).ravel()
+    return per_axis[0] if len(per_axis) == 1 else _tensor_rule(*per_axis)
 
 
-def _weighted_volume(surface, weight, focus=None, levels=26, panel_points=12):
-    if focus is None:
-        return surface_measure(surface, weight=weight), float("nan")
+def _weighted_volume(surface, weight, focus, levels, panel_points):
     box = _param_box(surface)
     if len(box) > 1:
         # tensor rule: cap the per-axis refinement to keep the node count sane

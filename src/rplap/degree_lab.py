@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, ResolutionError
 from .quadrature import build_sphere_rule, sphere_volume
-from .sphere_geom import _central_differences, _reflect, as_unit, tangent_basis
+from .sphere_geom import _central_differences, _reflect, tangent_basis
 
 __all__ = [
     "SphereSelfMap",
     "DegreeResult",
-    "oriented_tangent_frames",
     "degree_integral",
     "degree_regular_value",
     "SymmetryReport",
@@ -72,6 +71,19 @@ class DegreeResult:
     signs: Optional[np.ndarray] = None
 
 
+# Settings shared by both zero counts and the symmetry check; no caller varies them.
+SPHERE_FD_STEP = 1e-5  # central-difference step along tangent frames
+BOX_FD_STEP = 1e-6  # central-difference step along the box axes
+RESIDUAL_TOL = 1e-10  # a Newton start has converged once |residual| <= this
+DEDUPE_TOL = 1e-6  # converged points closer than this count as one zero
+MIN_JACOBIAN = 1e-8  # a zero with |det| below this is not regular
+BOX_GRID = 4  # grid starts per axis of a box (when grid**dim <= 256)
+BOX_EXTRA_STARTS = 200  # seeded uniform starts added in every box
+SYMMETRY_SAMPLES = 256
+SYMMETRY_TOL = 1e-9
+MIN_BLOCK = 1e-3  # symmetry samples keep both blocks at least this long
+
+
 def _map_images(sphere_map, points):
     values = np.asarray(sphere_map.func(points), dtype=float)
     if values.shape != points.shape:
@@ -89,26 +101,86 @@ def _map_images(sphere_map, points):
     return values / norms[..., None]
 
 
-def _tangent_images(sphere_map, points, frames, fd_step):
+def _tangent_images(sphere_map, points, frames):
     """Columns D(phi)u for each frame vector u, analytically or by central FD."""
     if sphere_map.jacobian is not None:
         jac = np.asarray(sphere_map.jacobian(points), dtype=float)
         return np.einsum("kij,kjd->kid", jac, frames)
     return _central_differences(
-        lambda probes: _map_images(sphere_map, probes), points, frames, fd_step, on_sphere=True
+        lambda probes: _map_images(sphere_map, probes),
+        points, frames, SPHERE_FD_STEP, on_sphere=True,
     )
 
 
-def oriented_tangent_frames(points):
-    """Orthonormal tangent frames with det[y | u_1 ... u_d] = +1 at every row."""
+def _pullback_dets(sphere_map, points):
+    """det[phi(y), Dphi u_1, ..., Dphi u_d] over frames with det[y | u] = +1."""
     frames = tangent_basis(points)
-    mats = np.concatenate([points[..., None], frames], axis=-1)
-    flip = np.linalg.det(mats) < 0.0
+    flip = np.linalg.det(np.concatenate([points[..., None], frames], axis=-1)) < 0.0
     frames[flip, :, -1] *= -1.0
-    return frames
+    images = _map_images(sphere_map, points)
+    tans = _tangent_images(sphere_map, points, frames)
+    return np.linalg.det(np.concatenate([images[..., None], tans], axis=-1))
 
 
-def degree_integral(sphere_map, rule=None, fd_step=1e-5, resolution=0.05):
+def _newton_roots(residual, frames, tangents, retract, starts, step_cap, max_iter):
+    """Damped Newton from every start at once; returns (points, converged mask).
+
+    Each round evaluates residual (N, out) once on the active rows, which
+    converge at |r| <= RESIDUAL_TOL.  The rest move by frames @ s, with s the
+    minimum-norm least-squares step -pinv(J) r (lstsq's cutoff), J =
+    tangents(points, frames) and |s| capped at step_cap.  retract(points,
+    moves) returns the moved points and which moves it accepts; rows with a
+    non-finite residual or Jacobian, or a rejected move, drop out.
+    """
+    points = np.array(starts, dtype=float)
+    active = np.ones(points.shape[0], dtype=bool)
+    converged = np.zeros(points.shape[0], dtype=bool)
+    for round_ in range(max_iter):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        res = residual(points[rows])
+        size = np.linalg.norm(res, axis=1)
+        done = size <= RESIDUAL_TOL
+        converged[rows[done]] = True
+        go = ~done & np.isfinite(size)
+        active[rows[~go]] = False
+        if round_ == max_iter - 1 or not go.any():
+            break
+        rows, res = rows[go], res[go]
+        basis = frames(points[rows])
+        jac = tangents(points[rows], basis)
+        finite = np.all(np.isfinite(jac), axis=(1, 2))
+        active[rows[~finite]] = False
+        rows, res, basis, jac = rows[finite], res[finite], basis[finite], jac[finite]
+        cutoff = max(jac.shape[1:]) * np.finfo(float).eps
+        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ res[..., None])[..., 0]
+        size = np.linalg.norm(steps, axis=1)
+        over = size > step_cap
+        steps[over] *= (step_cap / size[over])[:, None]
+        moved, ok = retract(points[rows], (basis @ steps[..., None])[..., 0])
+        points[rows[ok]] = moved[ok]
+        active[rows[~ok]] = False
+    return points, converged
+
+
+def _distinct(points):
+    """Points farther than DEDUPE_TOL from every earlier kept one, in order."""
+    kept = []
+    for point in points:
+        if all(np.linalg.norm(point - known) >= DEDUPE_TOL for known in kept):
+            kept.append(point)
+    return np.array(kept).reshape(-1, points.shape[1])
+
+
+def _signs(dets, what):
+    """Signs of the determinants at the zeros; ResolutionError if one is singular."""
+    if np.any(np.abs(dets) < MIN_JACOBIAN):
+        raise ResolutionError(f"{what} (min |det| = {float(np.min(np.abs(dets))):.3e})")
+    return np.sign(dets).astype(int)
+
+
+def degree_integral(sphere_map, rule=None, resolution=0.05):
     """Degree as the normalized pullback of the volume form.
 
     Integrates det[phi(y), Dphi u_1, ..., Dphi u_d] over positively oriented
@@ -120,14 +192,8 @@ def degree_integral(sphere_map, rule=None, fd_step=1e-5, resolution=0.05):
         rule = build_sphere_rule(d, 16)
     if rule.dim != d:
         raise DomainError(f"rule is for S^{rule.dim}, map lives on S^{d}")
-    points = rule.nodes
-    frames = oriented_tangent_frames(points)
-    images = _map_images(sphere_map, points)
-    tans = _tangent_images(sphere_map, points, frames, fd_step)
-    mats = np.concatenate([images[..., None], tans], axis=-1)
-    dets = np.linalg.det(mats)
-    terms = np.asarray(rule.weights * dets, dtype=float)
-    raw = math.fsum(terms[np.argsort(np.abs(terms))]) / sphere_volume(d)
+    terms = rule.weights * _pullback_dets(sphere_map, rule.nodes)
+    raw = math.fsum(terms.tolist()) / sphere_volume(d)
     nearest = float(np.rint(raw))
     distance = abs(raw - nearest)
     if distance > resolution:
@@ -138,29 +204,6 @@ def degree_integral(sphere_map, rule=None, fd_step=1e-5, resolution=0.05):
     return DegreeResult(
         degree=int(nearest), raw=raw, distance=distance, method="integral"
     )
-
-
-def _newton_on_sphere(sphere_map, start, target, fd_step, residual_tol, max_iter=40):
-    y = np.array(start, dtype=float)
-    for _ in range(max_iter):
-        res = _map_images(sphere_map, y[None])[0] - target
-        if np.linalg.norm(res) <= residual_tol:
-            return y, True
-        frame = tangent_basis(y[None])
-        jac = _tangent_images(sphere_map, y[None], frame, fd_step)[0]
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return y, False
-        size = np.linalg.norm(step)
-        if size > 0.5:
-            step *= 0.5 / size
-        moved = y + frame[0] @ step
-        norm = np.linalg.norm(moved)
-        if norm < 1e-12:
-            return y, False
-        y = moved / norm
-    res = _map_images(sphere_map, y[None])[0] - target
-    return y, bool(np.linalg.norm(res) <= residual_tol)
 
 
 def _start_points(dim, seed, budget=200):
@@ -175,60 +218,42 @@ def _start_points(dim, seed, budget=200):
     return np.concatenate([nodes, extra], axis=0)
 
 
-def degree_regular_value(
-    sphere_map,
-    target=None,
-    seed=0,
-    fd_step=1e-5,
-    residual_tol=1e-10,
-    dedupe_tol=1e-6,
-    min_jacobian=1e-8,
-):
+def _sphere_retract(points, moves):
+    moved = points + moves
+    norms = np.linalg.norm(moved, axis=1, keepdims=True)
+    ok = norms[:, 0] >= 1e-12
+    return moved / np.where(ok[:, None], norms, 1.0), ok
+
+
+def degree_regular_value(sphere_map, seed=0):
     """Degree as the signed count of preimages of a regular value.
 
-    Newton iterations in moving tangent charts are run from a spread of
-    deterministic and seeded random starts; converged preimages are deduped
-    and each contributes the sign of det[phi(y), Dphi u_1, ..., Dphi u_d].
+    The target is a seeded random unit vector.  Newton runs in moving tangent
+    charts from a spread of deterministic and seeded random starts; the
+    converged preimages are deduped and each contributes the sign of
+    det[phi(y), Dphi u_1, ..., Dphi u_d].
     """
     d = sphere_map.dim
     rng = np.random.default_rng(seed)
-    if target is None:
-        vec = rng.normal(size=d + 1)
-        target = vec / np.linalg.norm(vec)
-    else:
-        target = as_unit(np.asarray(target, dtype=float))
-
-    roots = []
-    for start in _start_points(d, seed + 1):
-        root, ok = _newton_on_sphere(sphere_map, start, target, fd_step, residual_tol)
-        if not ok:
-            continue
-        if any(np.linalg.norm(root - known) < dedupe_tol for known in roots):
-            continue
-        roots.append(root)
-
-    if not roots:
-        return DegreeResult(
-            degree=0,
-            raw=0.0,
-            distance=0.0,
-            method="regular-value",
-            preimages=np.zeros((0, d + 1)),
-            signs=np.zeros(0, dtype=int),
-        )
-
-    preimages = np.array(roots)
-    frames = oriented_tangent_frames(preimages)
-    images = _map_images(sphere_map, preimages)
-    tans = _tangent_images(sphere_map, preimages, frames, fd_step)
-    mats = np.concatenate([images[..., None], tans], axis=-1)
-    dets = np.linalg.det(mats)
-    if np.any(np.abs(dets) < min_jacobian):
-        raise ResolutionError(
+    vec = rng.normal(size=d + 1)
+    target = vec / np.linalg.norm(vec)
+    points, converged = _newton_roots(
+        lambda pts: _map_images(sphere_map, pts) - target,
+        tangent_basis,
+        lambda pts, frames: _tangent_images(sphere_map, pts, frames),
+        _sphere_retract,
+        _start_points(d, seed + 1),
+        step_cap=0.5,
+        max_iter=41,
+    )
+    preimages = _distinct(points[converged])
+    signs = np.zeros(0, dtype=int)
+    if preimages.shape[0]:  # no map call on zero points
+        signs = _signs(
+            _pullback_dets(sphere_map, preimages),
             "target is not a regular value: a preimage has a (near-)singular "
-            f"tangent determinant (min |det| = {float(np.min(np.abs(dets))):.3e})"
+            "tangent determinant",
         )
-    signs = np.sign(dets).astype(int)
     degree = int(np.sum(signs))
     return DegreeResult(
         degree=degree,
@@ -252,15 +277,14 @@ class SymmetryReport:
     samples: int
 
 
-def reflection_symmetry_check(
-    sphere_map, half_dim, samples=256, seed=0, tol=1e-9, min_block=1e-3
-):
+def reflection_symmetry_check(sphere_map, half_dim, seed=0):
     """Check invariance under (a, b) -> (R_b a, -b) followed by R_b x R_b.
 
     A map on S^(2n+1) with coordinates split into blocks a, b of size n+1
-    passes when (R_b x R_b) phi(R_b a, -b) agrees with phi(a, b) at random
-    samples (pair_deviation) and phi fixes the b = 0 equator pointwise
-    (equator_deviation).
+    passes when (R_b x R_b) phi(R_b a, -b) agrees with phi(a, b) to within
+    SYMMETRY_TOL at SYMMETRY_SAMPLES seeded samples with both blocks at
+    least MIN_BLOCK long (pair_deviation), and phi fixes the b = 0 equator
+    pointwise (equator_deviation).
     """
     k = half_dim + 1
     if sphere_map.dim != 2 * half_dim + 1:
@@ -270,14 +294,14 @@ def reflection_symmetry_check(
         )
     rng = np.random.default_rng(seed)
     points = np.zeros((0, 2 * k))
-    while points.shape[0] < samples:
-        batch = rng.normal(size=(2 * samples, 2 * k))
+    while points.shape[0] < SYMMETRY_SAMPLES:
+        batch = rng.normal(size=(2 * SYMMETRY_SAMPLES, 2 * k))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        keep = (np.linalg.norm(batch[:, k:], axis=1) >= min_block) & (
-            np.linalg.norm(batch[:, :k], axis=1) >= min_block
+        keep = (np.linalg.norm(batch[:, k:], axis=1) >= MIN_BLOCK) & (
+            np.linalg.norm(batch[:, :k], axis=1) >= MIN_BLOCK
         )
         points = np.concatenate([points, batch[keep]], axis=0)
-    points = points[:samples]
+    points = points[:SYMMETRY_SAMPLES]
     a, b = points[:, :k], points[:, k:]
 
     moved = np.concatenate([_reflect(a, b, False), -b], axis=1)
@@ -288,18 +312,18 @@ def reflection_symmetry_check(
     direct = _map_images(sphere_map, points)
     pair_dev = float(np.max(np.linalg.norm(conjugated - direct, axis=1)))
 
-    eq_a = rng.normal(size=(samples, k))
+    eq_a = rng.normal(size=(SYMMETRY_SAMPLES, k))
     eq_a /= np.linalg.norm(eq_a, axis=1, keepdims=True)
-    equator = np.concatenate([eq_a, np.zeros((samples, k))], axis=1)
+    equator = np.concatenate([eq_a, np.zeros((SYMMETRY_SAMPLES, k))], axis=1)
     eq_values = _map_images(sphere_map, equator)
     eq_dev = float(np.max(np.linalg.norm(eq_values - equator, axis=1)))
 
     return SymmetryReport(
-        passes=bool(pair_dev <= tol and eq_dev <= tol),
+        passes=bool(pair_dev <= SYMMETRY_TOL and eq_dev <= SYMMETRY_TOL),
         pair_deviation=pair_dev,
         equator_deviation=eq_dev,
         half_dim=half_dim,
-        samples=samples,
+        samples=SYMMETRY_SAMPLES,
     )
 
 
@@ -332,87 +356,54 @@ class EuclideanDegreeResult:
     signs: np.ndarray
 
 
-def euclidean_degree(
-    func,
-    region,
-    target=None,
-    seed=0,
-    grid=4,
-    extra_starts=200,
-    fd_step=1e-6,
-    residual_tol=1e-10,
-    dedupe_tol=1e-6,
-    min_jacobian=1e-8,
-):
-    """Signed count of solutions of func = target inside a box region.
+def euclidean_degree(func, region, seed=0):
+    """Signed count of zeros of func inside a box region.
 
-    Newton iterations with central-difference Jacobians run from a grid of
-    starts plus seeded uniform draws; zeros outside the region are discarded
-    and each kept zero contributes the sign of its Jacobian determinant.
+    Newton with central-difference Jacobians runs from a grid of starts plus
+    seeded uniform draws; zeros outside the region are discarded and each
+    kept zero contributes the sign of its Jacobian determinant.
     """
     lower = np.asarray(region.lower, dtype=float)
     upper = np.asarray(region.upper, dtype=float)
     m = lower.shape[0]
-    if target is None:
-        target = np.zeros(m)
-    target = np.asarray(target, dtype=float)
     span = upper - lower
 
     rng = np.random.default_rng(seed)
-    if grid**m <= 256:
-        axes = [np.linspace(lower[i], upper[i], grid + 2)[1:-1] for i in range(m)]
+    if BOX_GRID**m <= 256:
+        axes = [np.linspace(lower[i], upper[i], BOX_GRID + 2)[1:-1] for i in range(m)]
         mesh = np.meshgrid(*axes, indexing="ij")
         starts = np.stack([g.ravel() for g in mesh], axis=1)
     else:
         starts = lower + rng.uniform(size=(256, m)) * span
-    random_starts = lower + rng.uniform(size=(extra_starts, m)) * span
+    random_starts = lower + rng.uniform(size=(BOX_EXTRA_STARTS, m)) * span
     starts = np.concatenate([starts, random_starts], axis=0)
 
-    axes = np.eye(m)[None]
-    far_lo = lower - 1.5 * span
-    far_hi = upper + 1.5 * span
-    zeros = []
-    for start in starts:
-        point = start.copy()
-        ok = False
-        for _ in range(60):
-            res = np.atleast_2d(np.asarray(func(point[None]), dtype=float))[0] - target
-            if not np.all(np.isfinite(res)):
-                break
-            if np.linalg.norm(res) <= residual_tol:
-                ok = True
-                break
-            jac = _central_differences(func, point[None], axes, fd_step, False)[0]
-            if not np.all(np.isfinite(jac)):
-                break
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            size = np.linalg.norm(step)
-            cap = float(np.max(span))
-            if size > cap:
-                step *= cap / size
-            point = point + step
-            if np.any(point < far_lo) or np.any(point > far_hi):
-                break
-        if not ok:
-            continue
-        if not bool(region.contains(point[None])[0]):
-            continue
-        if any(np.linalg.norm(point - known) < dedupe_tol for known in zeros):
-            continue
-        zeros.append(point)
+    def jacobians(points, frames):
+        return _central_differences(func, points, frames, BOX_FD_STEP, False)
 
-    if not zeros:
-        return EuclideanDegreeResult(
-            degree=0, zeros=np.zeros((0, m)), signs=np.zeros(0, dtype=int)
+    far_lo, far_hi = lower - 1.5 * span, upper + 1.5 * span
+
+    def retract(points, moves):
+        moved = points + moves
+        return moved, np.all((moved >= far_lo) & (moved <= far_hi), axis=1)
+
+    points, converged = _newton_roots(
+        lambda pts: np.atleast_2d(np.asarray(func(pts), dtype=float)),
+        lambda pts: np.broadcast_to(np.eye(m), (pts.shape[0], m, m)),
+        jacobians,
+        retract,
+        starts,
+        step_cap=float(np.max(span)),
+        max_iter=60,
+    )
+    found = points[converged]
+    zeros = _distinct(found[region.contains(found)])
+    signs = np.zeros(0, dtype=int)
+    if zeros.shape[0]:  # no map call on zero points
+        signs = _signs(
+            np.linalg.det(jacobians(zeros, np.eye(m)[None])),
+            f"degenerate zero: Jacobian determinant below {MIN_JACOBIAN:.1e}",
         )
-    zeros = np.array(zeros)
-    dets = np.linalg.det(_central_differences(func, zeros, axes, fd_step, False))
-    if np.any(np.abs(dets) < min_jacobian):
-        raise ResolutionError(
-            "degenerate zero: Jacobian determinant below "
-            f"{min_jacobian:.1e} (min |det| = {float(np.min(np.abs(dets))):.3e})"
-        )
-    signs = np.sign(dets).astype(int)
     return EuclideanDegreeResult(degree=int(np.sum(signs)), zeros=zeros, signs=signs)
 
 
@@ -478,7 +469,7 @@ class PairedDegreeReport:
     zeros_plus: np.ndarray
 
 
-def paired_degree_check(func, plus_region, half_dim, seed=0, **solver_options):
+def paired_degree_check(func, plus_region, half_dim, seed=0):
     """Compare deg(func, reflected region) with parity * deg(conjugate, region).
 
     The b-block of plus_region must stay away from zero so the involution is
@@ -490,9 +481,9 @@ def paired_degree_check(func, plus_region, half_dim, seed=0, **solver_options):
     if np.all((b_lower <= 0.0) & (b_upper >= 0.0)):
         raise DomainError("plus region must exclude b = 0")
     minus_region = involuted_region(plus_region, half_dim)
-    result_minus = euclidean_degree(func, minus_region, seed=seed, **solver_options)
+    result_minus = euclidean_degree(func, minus_region, seed=seed)
     psi = reflection_conjugate(func, half_dim)
-    result_plus = euclidean_degree(psi, plus_region, seed=seed + 1, **solver_options)
+    result_plus = euclidean_degree(psi, plus_region, seed=seed + 1)
     parity = -1 if half_dim % 2 else 1
     return PairedDegreeReport(
         degree_minus=result_minus.degree,
@@ -638,7 +629,7 @@ def warped_flip_family(half_dim, strength=0.8, steps=5):
 
 def registry():
     """Named example maps for the command-line interface."""
-    maps = {
+    return {
         "identity-s3": identity_map(3),
         "antipodal-s3": antipodal_map(3),
         "flip-b": block_flip_map(1),
@@ -648,4 +639,3 @@ def registry():
         "identity-s2": identity_map(2),
         "antipodal-s2": antipodal_map(2),
     }
-    return maps

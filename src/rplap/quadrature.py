@@ -282,12 +282,15 @@ def graded_interval_rule(a, b, focus, levels=20, panel_points=10, ratio=0.5):
     return np.concatenate(nodes, axis=0), np.concatenate(weights)
 
 
-def product_rectangle_rule(x_range, y_range, count_x, count_y):
-    """Tensor Gauss-Legendre rule on a rectangle, nodes shaped (N, 2)."""
-    nx, wx = interval_rule(x_range[0], x_range[1], count_x)
-    ny, wy = interval_rule(y_range[0], y_range[1], count_y)
+def _tensor_rule(rule_x, rule_y):
+    """Tensor product of two interval rules, nodes shaped (N, 2)."""
+    (nx, wx), (ny, wy) = rule_x, rule_y
     nodes = np.stack(
         [np.repeat(nx[:, 0], ny.shape[0]), np.tile(ny[:, 0], nx.shape[0])], axis=-1
     )
-    weights = (wx[:, None] * wy[None, :]).ravel()
-    return nodes, weights
+    return nodes, (wx[:, None] * wy[None, :]).ravel()
+
+
+def product_rectangle_rule(x_range, y_range, count_x, count_y):
+    """Tensor Gauss-Legendre rule on a rectangle, nodes shaped (N, 2)."""
+    return _tensor_rule(interval_rule(*x_range, count_x), interval_rule(*y_range, count_y))

@@ -393,12 +393,18 @@ def search_vector_field_zero(
         return vec
 
     slice_basis = _principal_slice_basis(w, f, rule, seed=seed)
-    cells = []
+    cells, seen_whole = [], False
     for angle in np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False):
         direction = slice_basis @ np.concatenate(
             [[math.cos(angle), math.sin(angle)], np.zeros(slice_basis.shape[1] - 2)]
         )
         for t0 in np.linspace(0.0, min(0.9, t_cap), 10):
+            # the fold is the identity on a cap holding every image, so V takes
+            # one value on all such caps: evaluate the first one only
+            whole = bool(SphericalCap(direction, t0).contains(ws.images).all())
+            if whole and seen_whole:
+                continue
+            seen_whole |= whole
             params = np.append(direction, t0)
             cells.append((float(np.linalg.norm(field_at(params))), params))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from rplap.degree_lab import (
     degree_regular_value,
     euclidean_degree,
     identity_map,
+    involuted_region,
     paired_degree_check,
     reflection_conjugate,
     reflection_symmetry_check,
@@ -59,6 +62,39 @@ def test_doubling_map_has_two_positive_preimages():
     assert list(result.signs) == [1, 1]
     # the two preimages of z are +/- its square roots
     npt.assert_allclose(result.preimages[0], -result.preimages[1], rtol=0, atol=1e-9)
+
+
+def _counted(func):
+    calls = []
+
+    def wrapped(points):
+        calls.append(len(points))
+        return func(points)
+
+    return wrapped, calls
+
+
+def test_newton_runs_every_start_in_one_batch():
+    # one residual and one finite-difference call per round (41 rounds on the
+    # sphere, 60 in a box), plus the calls of the sign check
+    warped = registry()["warped-flip"]
+    func, calls = _counted(warped.func)
+    assert degree_regular_value(replace(warped, func=func), seed=5).degree == 1
+    assert len(calls) <= 2 * 41 + 2
+
+    func, region, expected = shifted_identity_example(1)
+    counted, calls = _counted(func)
+    assert euclidean_degree(counted, involuted_region(region, 1)).degree == expected
+    assert len(calls) <= 2 * 60 + 1
+
+
+def test_constant_map_has_no_preimages():
+    pole = np.eye(3)[0]
+    constant = SphereSelfMap(dim=2, func=lambda pts: np.tile(pole, (len(pts), 1)))
+    result = degree_regular_value(constant, seed=3)
+    assert result.degree == 0
+    assert result.preimages.shape == (0, 3)
+    assert result.signs.shape == (0,)
 
 
 def test_orientation_reversal_shows_in_the_signs():

@@ -209,6 +209,22 @@ def test_search_drives_the_field_to_zero():
     npt.assert_allclose(np.linalg.norm(result.pole), 1.0, rtol=0, atol=1e-12)
 
 
+def test_search_evaluates_one_cap_holding_every_image(monkeypatch):
+    # on such caps the fold is the identity and V takes one value
+    whole = []
+    field = trial_bound._FieldWorkspace.field
+
+    def recording(self, cap, **kwargs):
+        whole.append(bool(cap.contains(self.images).all()))
+        return field(self, cap, **kwargs)
+
+    monkeypatch.setattr(trial_bound._FieldWorkspace, "field", recording)
+    # no polish, so every evaluation is a slice-grid cell
+    result = search_vector_field_zero(zonal_factor(2, 0.5), starts=0, seed=0)
+    assert len(whole) == result.evaluations > 100
+    assert sum(whole) == 1  # the first such cap is kept, the rest skipped
+
+
 _SEARCH_SCRIPT = """
 import json
 from rplap.spectral import zonal_factor

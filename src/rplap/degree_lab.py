@@ -93,11 +93,13 @@ def _map_images(sphere_map, points):
         )
     norms = np.linalg.norm(values, axis=-1)
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-    if worst > 1e-6:
-        raise EvaluationError(
-            f"map {sphere_map.name or '<anonymous>'} leaves the sphere "
-            f"(worst |value| deviation {worst:.3e})"
+    if not worst <= 1e-6:  # a non-finite value makes worst NaN or inf
+        problem = (
+            f"leaves the sphere (worst |value| deviation {worst:.3e})"
+            if math.isfinite(worst)
+            else "returned non-finite values"
         )
+        raise EvaluationError(f"map {sphere_map.name or '<anonymous>'} {problem}")
     return values / norms[..., None]
 
 

@@ -3,13 +3,17 @@
 Each degree block is a basis of homogeneous harmonic polynomials in n+1
 variables, orthonormalized against the exact sphere inner product and scaled
 so that the half-sphere (projective) mass matrix is the identity.  Explicit
-monomial coefficients give exact evaluation and exact ambient gradients.
+monomial coefficients give exact evaluation and exact ambient gradients: one
+recursive table holds the monomials of every degree at the points (level k is
+level k-1 times one coordinate), and each block maps its level to values and
+the level below to gradients with one matrix product each.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 import math
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh, null_space
@@ -32,17 +36,46 @@ def harmonic_space_dim(n, degree):
     return (2 * degree + d - 2) * math.comb(degree + d - 3, degree - 1) // (degree)
 
 
+@lru_cache(maxsize=None)
 def _monomial_exponents(dim, degree):
     """All exponent tuples of total degree `degree` in `dim` variables."""
-    if degree == 0:
-        return [tuple([0] * dim)]
-    exps = []
+    exps = set()
     for combo in combinations_with_replacement(range(dim), degree):
         alpha = [0] * dim
         for var in combo:
             alpha[var] += 1
-        exps.append(tuple(alpha))
-    return sorted(set(exps), reverse=True)
+        exps.add(tuple(alpha))
+    return tuple(sorted(exps, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _monomial_tails(dim, degree):
+    """Per variable y_v, where its run of degree - 1 monomials starts.
+
+    In descending order, the degree-`degree` monomials whose first nonzero
+    exponent is that of y_v are one run: y_v times the degree - 1 monomials
+    from the first one free of y_0 .. y_{v-1} to the last, in order.
+    """
+    lower = _monomial_exponents(dim, degree - 1)
+    return tuple(next(i for i, a in enumerate(lower) if not any(a[:v])) for v in range(dim))
+
+
+def _monomial_levels(points, degree):
+    """Monomials of each degree 0..degree at the points, one (n_mono, N) array per degree.
+
+    Level k is level k - 1 times one coordinate per run, written in place.
+    """
+    coords = np.ascontiguousarray(points.T)
+    levels = [np.ones((1, coords.shape[1]))]
+    for k in range(1, degree + 1):
+        runs = [levels[-1][start:] for start in _monomial_tails(coords.shape[0], k)]
+        level = np.empty((sum(run.shape[0] for run in runs), coords.shape[1]))
+        row = 0
+        for run, coord in zip(runs, coords):
+            np.multiply(run, coord, out=level[row : row + run.shape[0]])
+            row += run.shape[0]
+        levels.append(level)
+    return levels
 
 
 def _sphere_monomial_integral(alpha):
@@ -55,34 +88,35 @@ def _sphere_monomial_integral(alpha):
     return 2.0 * math.exp(log_num - log_den)
 
 
-def _laplacian_matrix(exps, exps_lower):
-    """Matrix of the flat Laplacian from degree-k coefficients to degree k-2."""
+def _partial_matrix(exps, exps_lower, var, order):
+    """Matrix of the order-th partial in y_var from coefficients over exps to exps_lower."""
     index = {alpha: i for i, alpha in enumerate(exps_lower)}
     mat = np.zeros((len(exps_lower), len(exps)))
     for j, alpha in enumerate(exps):
-        for var, a in enumerate(alpha):
-            if a >= 2:
-                lower = list(alpha)
-                lower[var] -= 2
-                mat[index[tuple(lower)], j] += a * (a - 1)
+        if alpha[var] >= order:
+            lower = list(alpha)
+            lower[var] -= order
+            mat[index[tuple(lower)], j] = math.perm(alpha[var], order)
     return mat
 
 
 @dataclass(frozen=True)
 class _Block:
     degree: int
-    exponents: np.ndarray  # (n_monomials, d) integer exponents
-    coeffs: np.ndarray  # (n_monomials, n_harmonics)
+    coeffs: np.ndarray  # (n_mono_k, n_harmonics), over _monomial_exponents(d, degree)
+    # ambient gradients over the degree k-1 monomials, axis-major; None at k = 0
+    grad_coeffs: Optional[np.ndarray]  # (n_mono_{k-1}, d * n_harmonics)
 
 
+@lru_cache(maxsize=None)
 def _harmonic_block(n, degree):
     d = n + 1
     exps = _monomial_exponents(d, degree)
     if degree == 0:
         coeffs = np.array([[1.0]])
     else:
-        lower = _monomial_exponents(d, degree - 2) if degree >= 2 else []
-        lap = _laplacian_matrix(exps, lower) if lower else np.zeros((0, len(exps)))
+        lower = _monomial_exponents(d, degree - 2)
+        lap = sum(_partial_matrix(exps, lower, var, 2) for var in range(d))
         coeffs = null_space(lap)
     expected = harmonic_space_dim(n, degree)
     if coeffs.shape[1] != expected:
@@ -90,36 +124,27 @@ def _harmonic_block(n, degree):
             f"harmonic space dimension mismatch at degree {degree}: "
             f"{coeffs.shape[1]} != {expected}"
         )
-    # Gram matrix of the null-space basis against the half-sphere inner product
+    # Gram matrix of the null-space basis against the half-sphere inner product,
+    # integrating each distinct exponent sum once with the scalar formula (an
+    # ulp of change rotates the basis inside degenerate eigenspaces of the
+    # Gram matrix, which changes what a harmonic index refers to)
     exp_arr = np.array(exps, dtype=int)
-    mono_gram = np.empty((len(exps), len(exps)))
-    for i, ai in enumerate(exps):
-        for j in range(i, len(exps)):
-            val = 0.5 * _sphere_monomial_integral(tuple(np.add(ai, exps[j])))
-            mono_gram[i, j] = val
-            mono_gram[j, i] = val
+    sums = (exp_arr[:, None, :] + exp_arr[None, :, :]).reshape(-1, d)
+    distinct, where = np.unique(sums, axis=0, return_inverse=True)
+    integrals = np.array([_sphere_monomial_integral(alpha) for alpha in distinct.tolist()])
+    mono_gram = 0.5 * integrals[where.ravel()].reshape(len(exps), len(exps))
     gram = coeffs.T @ mono_gram @ coeffs
     vals, vecs = eigh(gram)
     if np.min(vals) <= 0:
         raise NumericError(f"harmonic Gram matrix not positive at degree {degree}")
     coeffs = coeffs @ vecs @ np.diag(1.0 / np.sqrt(vals))
-    return _Block(degree=degree, exponents=exp_arr, coeffs=coeffs)
-
-
-def _eval_monomials(exponents, points):
-    out = np.ones((points.shape[0], exponents.shape[0]))
-    for var in range(exponents.shape[1]):
-        col = points[:, var]
-        powers = exponents[:, var]
-        max_pow = int(powers.max()) if powers.size else 0
-        if max_pow == 0:
-            continue
-        table = np.empty((points.shape[0], max_pow + 1))
-        table[:, 0] = 1.0
-        for p in range(1, max_pow + 1):
-            table[:, p] = table[:, p - 1] * col
-        out *= table[:, powers]
-    return out
+    grad_coeffs = None
+    if degree > 0:
+        lower = _monomial_exponents(d, degree - 1)
+        grad_coeffs = np.concatenate(
+            [_partial_matrix(exps, lower, var, 1) @ coeffs for var in range(d)], axis=1
+        )
+    return _Block(degree=degree, coeffs=coeffs, grad_coeffs=grad_coeffs)
 
 
 @dataclass(frozen=True)
@@ -141,10 +166,7 @@ class HarmonicBasis:
     @property
     def degrees(self):
         """Degree of each basis function, aligned with evaluation columns."""
-        out = []
-        for b in self.blocks:
-            out.extend([b.degree] * b.coeffs.shape[1])
-        return np.array(out, dtype=int)
+        return np.repeat([b.degree for b in self.blocks], [b.coeffs.shape[1] for b in self.blocks])
 
     def block_dim(self, degree):
         for b in self.blocks:
@@ -164,42 +186,32 @@ class HarmonicBasis:
             offset += b.coeffs.shape[1]
         raise DomainError(f"no degree-{degree} block in basis (max {self.max_degree})")
 
+    def _values(self, levels):
+        return np.concatenate([levels[b.degree].T @ b.coeffs for b in self.blocks], axis=1)
+
     def evaluate(self, points):
         """Values of all basis functions, shape (N, size)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = [
-            _eval_monomials(b.exponents, points) @ b.coeffs for b in self.blocks
-        ]
-        return np.concatenate(cols, axis=1)
-
-    def ambient_gradients(self, points):
-        """Flat gradients of the harmonic polynomials, shape (N, size, d)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.sphere_dim + 1
-        out = []
-        for b in self.blocks:
-            grads = np.zeros((points.shape[0], b.coeffs.shape[1], d))
-            if b.degree > 0:
-                for var in range(d):
-                    powers = b.exponents[:, var]
-                    mask = powers > 0
-                    if not np.any(mask):
-                        continue
-                    reduced = b.exponents[mask].copy()
-                    reduced[:, var] -= 1
-                    mono = _eval_monomials(reduced, points) * powers[mask]
-                    grads[:, :, var] = mono @ b.coeffs[mask]
-            out.append(grads)
-        return np.concatenate(out, axis=1)
+        return self._values(_monomial_levels(points, self.max_degree))
 
     def tangential_gradients(self, points):
-        """Sphere gradients at unit points: grad P - degree * P * y."""
+        """Sphere gradients at unit points, grad P - degree * P * y, shape (N, size, d).
+
+        The result is the swapaxes view of a C-contiguous (N, d, size) array.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = self.evaluate(points)
-        grads = self.ambient_gradients(points)
-        degs = self.degrees.astype(float)
-        radial = values * degs[None, :]
-        return grads - radial[:, :, None] * points[:, None, :]
+        levels = _monomial_levels(points, self.max_degree)
+        values = self._values(levels)
+        count, d = points.shape
+        out = np.zeros((count, d, self.size))
+        start = 0
+        for b in self.blocks:
+            cols = slice(start, start + b.coeffs.shape[1])
+            start = cols.stop
+            if b.grad_coeffs is not None:
+                out[:, :, cols] = (levels[b.degree - 1].T @ b.grad_coeffs).reshape(count, d, -1)
+        out -= (values * self.degrees)[:, None, :] * points[:, :, None]
+        return np.swapaxes(out, 1, 2)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Quadrature on round spheres S^1, S^2, S^3 and on parametric surfaces.
 
 Sphere rules are product rules (Gauss nodes in polar variables, uniform nodes
-in the periodic angle) with a stated total polynomial exactness degree.  Node
-sets are antipodally symmetric, so integrals over projective space are half
-the sphere integral of an even integrand.
+in the periodic angle) with a stated total polynomial exactness degree.  Each
+rule of N nodes is a hemisphere followed by its exact negation, so its first
+N/2 nodes hold one representative of every antipodal pair, and an even
+integrand's integral over projective space is its sum over those nodes.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +24,6 @@ __all__ = [
     "build_sphere_rule",
     "integrate",
     "integrate_projective",
-    "antipodal_permutation",
     "ParamSurface",
     "surface_measure",
     "interval_rule",
@@ -58,68 +58,66 @@ class QuadratureRule:
             raise DomainError("node/weight count mismatch")
         if self.nodes.shape[1] != self.dim + 1:
             raise DomainError("node ambient dimension mismatch")
+        m = self.nodes.shape[0] // 2
+        if not (
+            2 * m == self.nodes.shape[0]
+            and (self.nodes[m:] == -self.nodes[:m]).all()
+            and (self.weights[m:] == self.weights[:m]).all()
+        ):
+            raise DomainError("rule is not a hemisphere followed by its negation")
 
     @property
     def size(self):
         return self.nodes.shape[0]
 
 
-def _circle_rule(degree):
-    count = degree + 1
-    if count % 2:
-        count += 1
-    angles = 2.0 * math.pi * np.arange(count) / count
-    nodes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    weights = np.full(count, 2.0 * math.pi / count)
-    return nodes, weights
+def _doubled(nodes, weights):
+    """A hemisphere rule followed by its exact negation: the full sphere rule."""
+    return np.concatenate([nodes, -nodes]), np.concatenate([weights, weights])
 
 
-def _s2_rule(degree):
+def _half_rule(n, degree):
+    """The hemisphere half of the product rule on S^n, as (nodes, weights).
+
+    On S^1: the first half of an even count of equally spaced angles.  On
+    S^n, n = 2, 3: a Gauss rule in the last coordinate u for the polar weight
+    (1 - u^2)^((n-2)/2) (Legendre, Chebyshev second kind; ascending and
+    symmetric) times the full S^(n-1) rule on each slice.  The half keeps the
+    u < 0 slices and, when there is a u = 0 slice, the S^(n-1) half on it.
+    """
+    if n == 1:
+        count = degree + 1 + (degree + 1) % 2
+        angles = 2.0 * math.pi * np.arange(count // 2) / count
+        nodes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        return nodes, np.full(count // 2, 2.0 * math.pi / count)
     n_polar = (degree + 2) // 2
-    z, wz = np.polynomial.legendre.leggauss(n_polar)
-    n_angle = degree + 1
-    if n_angle % 2:
-        n_angle += 1
-    angles = 2.0 * math.pi * np.arange(n_angle) / n_angle
-    sin_polar = np.sqrt(1.0 - z * z)
-    nodes = np.empty((n_polar * n_angle, 3))
-    nodes[:, 0] = np.outer(sin_polar, np.cos(angles)).ravel()
-    nodes[:, 1] = np.outer(sin_polar, np.sin(angles)).ravel()
-    nodes[:, 2] = np.repeat(z, n_angle)
-    weights = np.repeat(wz * (2.0 * math.pi / n_angle), n_angle)
-    return nodes, weights
-
-
-def _s3_rule(degree):
-    # Gauss rule for the polar weight sin^2(chi): Chebyshev second kind in
-    # u = cos(chi), times an S^2 rule on the cross-section sphere.
-    n_polar = (degree + 2) // 2
-    u, wu = roots_chebyu(n_polar)
-    base_nodes, base_weights = _s2_rule(degree)
-    sin_polar = np.sqrt(1.0 - u * u)
-    k = base_nodes.shape[0]
-    nodes = np.empty((n_polar * k, 4))
-    nodes[:, :3] = (sin_polar[:, None, None] * base_nodes[None, :, :]).reshape(-1, 3)
-    nodes[:, 3] = np.repeat(u, k)
-    weights = (wu[:, None] * base_weights[None, :]).ravel()
+    u, wu = np.polynomial.legendre.leggauss(n_polar) if n == 2 else roots_chebyu(n_polar)
+    south = n_polar // 2
+    base_half, base_half_weights = _half_rule(n - 1, degree)
+    base, base_weights = _doubled(base_half, base_half_weights)
+    sin_polar = np.sqrt(1.0 - u[:south] ** 2)
+    nodes = np.empty((south * base.shape[0], n + 1))
+    nodes[:, :n] = (sin_polar[:, None, None] * base[None, :, :]).reshape(-1, n)
+    nodes[:, n] = np.repeat(u[:south], base.shape[0])
+    weights = (wu[:south, None] * base_weights[None, :]).ravel()
+    if n_polar % 2:
+        equator = np.column_stack([base_half, np.zeros(base_half.shape[0])])
+        nodes = np.concatenate([nodes, equator])
+        weights = np.concatenate([weights, wu[south] * base_half_weights])
     return nodes, weights
 
 
 def build_sphere_rule(n, degree):
     """Product quadrature on S^n exact for polynomials of total degree <= degree.
 
-    Supported n: 1, 2, 3.  Node sets are antipodally symmetric.
+    Supported n: 1, 2, 3.  The rule is a hemisphere followed by its exact
+    negation, so node i + N/2 is the antipode of node i.
     """
     if degree < 2:
         raise DomainError(f"exactness degree must be >= 2, got {degree}")
-    if n == 1:
-        nodes, weights = _circle_rule(degree)
-    elif n == 2:
-        nodes, weights = _s2_rule(degree)
-    elif n == 3:
-        nodes, weights = _s3_rule(degree)
-    else:
+    if n not in (1, 2, 3):
         raise DomainError(f"no sphere rule for n = {n} (supported: 1, 2, 3)")
+    nodes, weights = _doubled(*_half_rule(n, degree))
     return QuadratureRule(dim=n, nodes=nodes, weights=weights, exactness=int(degree))
 
 
@@ -133,6 +131,15 @@ def _values_at_nodes(f, nodes, what="integrand"):
         )
     return values
 
+def _weighted_sum(values, weights):
+    if values.ndim == 1:
+        return math.fsum((values * weights).tolist())
+    if values.ndim == 2:
+        weighted = values * weights[:, None]
+        return np.array([math.fsum(weighted[:, j].tolist()) for j in range(values.shape[1])])
+    raise DomainError("integrand must return scalars or 1-D vectors per node")
+
+
 def integrate(rule, f):
     """Integrate f over the sphere.
 
@@ -140,44 +147,19 @@ def integrate(rule, f):
     Summation is exactly-rounded (math.fsum) in ascending node order, per
     output component, so results are independent of threading.
     """
-    values = _values_at_nodes(f, rule.nodes)
-    if values.ndim == 1:
-        return math.fsum((values * rule.weights).tolist())
-    if values.ndim == 2:
-        weighted = values * rule.weights[:, None]
-        return np.array([math.fsum(weighted[:, j].tolist()) for j in range(values.shape[1])])
-    raise DomainError("integrand must return scalars or 1-D vectors per node")
+    return _weighted_sum(_values_at_nodes(f, rule.nodes), rule.weights)
 
 
 def integrate_projective(rule, f):
-    """Integrate an even integrand over projective space (= half sphere integral)."""
-    sample = rule.nodes[: min(32, rule.size)]
+    """Integrate an even integrand over projective space: one node per antipodal pair."""
+    m = rule.size // 2
+    sample = rule.nodes[: min(32, m)]
     plus = np.asarray(f(sample), dtype=float)
     minus = np.asarray(f(-sample), dtype=float)
     scale = np.max(np.abs(plus)) + 1.0
     if np.max(np.abs(plus - minus)) > 1e-9 * scale:
         raise DomainError("integrand is not even; projective integral undefined")
-    result = integrate(rule, f)
-    return 0.5 * result
-
-
-def antipodal_permutation(rule, tol=1e-10):
-    """Index permutation sending each node to its antipode; error if absent."""
-    keyed = {}
-    for i, node in enumerate(rule.nodes):
-        keyed[tuple(np.round(node / tol).astype(np.int64))] = i
-    perm = np.empty(rule.size, dtype=int)
-    for i, node in enumerate(rule.nodes):
-        key = tuple(np.round(-node / tol).astype(np.int64))
-        j = keyed.get(key)
-        if j is None:
-            # rounding straddled a bin edge; fall back to direct search
-            dist = np.linalg.norm(rule.nodes + node, axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] > tol * 100:
-                raise DomainError(f"node set not antipodally symmetric at index {i}")
-        perm[i] = j
-    return perm
+    return _weighted_sum(_values_at_nodes(f, rule.nodes[:m]), rule.weights[:m])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A metric is specified by a positive even conformal factor w against the round
 metric on S^n (n = 2 or 3).  One weighting, `_projective_weights`, serves
-every integral over projective space: half the rule weights times the volume
-density w^{n/2} or the Dirichlet-energy weight w^{(n-2)/2}.  Eigenvalues are
+every integral over projective space: it keeps the rule's first half, one
+node per antipodal pair, and multiplies those nodes' weights by the volume
+density w^{n/2} or the Dirichlet-energy weight w^{(n-2)/2}.  Every integrand
+is even, so this sum equals half the full-sphere sum.  Eigenvalues are
 computed by Galerkin projection onto even-degree spherical harmonics.  The
 mass and stiffness matrices are Gram products of the basis values and
 tangential gradients scaled by the square roots of those weights, and the
@@ -179,26 +181,27 @@ def default_rule(n, basis_degree=None, margin=8):
 
 
 def _projective_weights(w, rule):
-    """w at the rule's nodes and the metric's projective quadrature weights.
+    """The rule's projective nodes, w there, and the metric's weights there.
 
-    Returns (wv, mass, energy) with mass = 0.5 * rule.weights * w^{n/2} and
-    energy = 0.5 * rule.weights * w^{(n-2)/2}; the half turns the antipodally
-    symmetric sphere rule into one over projective space.  Raises
+    The projective nodes are the rule's first half, one node per antipodal
+    pair.  Returns (nodes, wv, mass, energy) with mass = rule weight *
+    w^{n/2} and energy = rule weight * w^{(n-2)/2} at those nodes.  Raises
     AssemblyError unless w is positive and finite at every node.
     """
     n = w.sphere_dim
-    wv = w.values(rule.nodes)
+    m = rule.size // 2
+    nodes, weights = rule.nodes[:m], rule.weights[:m]
+    wv = w.values(nodes)
     if np.min(wv) <= 0 or not np.all(np.isfinite(wv)):
         raise AssemblyError("conformal factor not positive at quadrature nodes")
-    half = 0.5 * rule.weights
-    return wv, half * wv ** (n / 2.0), half * wv ** ((n - 2) / 2.0)
+    return nodes, wv, weights * wv ** (n / 2.0), weights * wv ** ((n - 2) / 2.0)
 
 
 def volume(w, rule=None):
     """Volume of projective space under the metric w * g."""
     if rule is None:
         rule = default_rule(w.sphere_dim)
-    _, mass, _ = _projective_weights(w, rule)
+    _, _, mass, _ = _projective_weights(w, rule)
     return math.fsum(mass.tolist())
 
 
@@ -220,9 +223,9 @@ def assemble_matrices(w, basis_degree=None, rule=None):
 
     Returns (stiffness, mass, basis, rule).  Stiffness entries integrate
     grad Y_i . grad Y_j w^{(n-2)/2}; mass entries Y_i Y_j w^{n/2}; both over
-    projective space (half sphere), as exactly symmetric Gram products G^T G
-    of the weighted basis values or gradients.  The mass matrix must come out
-    positive definite or assembly fails.
+    projective space (one node per antipodal pair), as exactly symmetric Gram
+    products G^T G of the weighted basis values or gradients.  The mass matrix
+    must come out positive definite or assembly fails.
     """
     n = w.sphere_dim
     if basis_degree is None:
@@ -232,11 +235,12 @@ def assemble_matrices(w, basis_degree=None, rule=None):
     if rule is None:
         rule = default_rule(n, basis_degree)
     base = harmonics.basis(n, basis_degree)
-    _, mass_weight, energy_weight = _projective_weights(w, rule)
-    rows = base.evaluate(rule.nodes) * np.sqrt(mass_weight)[:, None]
+    nodes, _, mass_weight, energy_weight = _projective_weights(w, rule)
+    rows = base.evaluate(nodes) * np.sqrt(mass_weight)[:, None]
     mass = rows.T @ rows
-    grads = base.tangential_gradients(rule.nodes)
-    grads = np.swapaxes(grads, 1, 2) * np.sqrt(energy_weight)[:, None, None]
+    # (N, d, size) C-contiguous behind the (N, size, d) view: rows (node, axis)
+    grads = np.swapaxes(base.tangential_gradients(nodes), 1, 2)
+    grads *= np.sqrt(energy_weight)[:, None, None]
     grads = grads.reshape(-1, base.size)
     stiffness = grads.T @ grads
     try:
@@ -259,9 +263,7 @@ class EigenFunction:
         return self.basis.evaluate(points) @ self.coeffs
 
     def tangential_gradient(self, points):
-        return np.einsum(
-            "kid,i->kd", self.basis.tangential_gradients(points), self.coeffs
-        )
+        return np.swapaxes(self.basis.tangential_gradients(points), 1, 2) @ self.coeffs
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def moebius_factor(x, s):
 
 def _reflect(y, mirror, unit):
     m2 = np.sum(mirror * mirror, axis=-1, keepdims=True)
-    if np.min(m2) <= 1e-28:
+    if m2.size and np.min(m2) <= 1e-28:
         raise DomainError("reflection mirror vector is zero")
     out = y - 2.0 * np.sum(y * mirror, axis=-1, keepdims=True) * mirror / m2
     return _snap(out, unit)

@@ -98,8 +98,9 @@ class PushforwardMeasure:
 def pushforward_measure(w, cap, rule=None):
     """Image of the metric volume under fold o veronese, as an atomic measure.
 
-    Quadrature nodes on S^n carry half weights (projective space) times the
-    volume density w^{n/2}; atoms are their folded Veronese images in the cap.
+    One rule node per antipodal pair (projective space) carries its weight
+    times the volume density w^{n/2}; atoms are the nodes' folded Veronese
+    images in the cap.
     """
     if rule is None:
         rule = spectral.default_rule(w.sphere_dim)
@@ -226,10 +227,10 @@ class _FieldWorkspace:
     """Precomputed node data for repeated vector-field evaluations."""
 
     def __init__(self, w, rule, f=None):
-        _, self.weights, _ = spectral._projective_weights(w, rule)
+        nodes, _, self.weights, _ = spectral._projective_weights(w, rule)
         self.mass = float(np.sum(self.weights))
-        self.images = as_unit(veronese_apply(w.sphere_dim, rule.nodes))
-        self.f_values = None if f is None else np.asarray(f(rule.nodes), dtype=float)
+        self.images = as_unit(veronese_apply(w.sphere_dim, nodes))
+        self.f_values = None if f is None else np.asarray(f(nodes), dtype=float)
 
     def folded(self, cap):
         return _fold(cap, self.images)
@@ -496,9 +497,8 @@ def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
         # the reflected-branch stretch concentrates near the cap complement,
         # so the chain needs a finer rule than the Galerkin assembly does
         rule = build_sphere_rule(n, 60 if n == 2 else 40)
-    nodes = rule.nodes
-    wv, mass_weights, energy_weights = spectral._projective_weights(w, rule)
-    half_weights = 0.5 * rule.weights  # the round measure on projective space
+    nodes, wv, mass_weights, energy_weights = spectral._projective_weights(w, rule)
+    half_weights = rule.weights[: nodes.shape[0]]  # the round measure on projective space
     metric_vol = math.fsum(mass_weights.tolist())
     round_vol = projective_volume(n)
 

@@ -124,6 +124,17 @@ def test_maps_must_stay_on_the_sphere():
         degree_integral(off)
 
 
+def test_non_finite_map_values_are_evaluation_errors():
+    # NaN fails every comparison, so a norm check alone lets it through
+    broken = SphereSelfMap(
+        dim=2, func=lambda pts: np.full(np.shape(pts), np.nan), name="nan"
+    )
+    with pytest.raises(EvaluationError, match="non-finite"):
+        degree_integral(broken)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        degree_regular_value(broken)
+
+
 # ---------------------------------------------------------------------------
 # Reflection symmetry
 
@@ -160,6 +171,13 @@ def test_block_involution_is_an_involution(rng):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     twice = block_involution(block_involution(pts, 1), 1)
     npt.assert_allclose(twice, pts, rtol=0, atol=1e-14)
+
+
+def test_block_involution_and_conjugate_accept_no_rows():
+    empty = np.zeros((0, 4))
+    assert block_involution(empty, 1).shape == (0, 4)
+    func, _, _ = shifted_identity_example(1)
+    assert reflection_conjugate(func, 1)(empty).shape == (0, 4)
 
 
 def test_reflection_conjugate_is_an_involution(rng):

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from rplap.errors import DomainError
-from rplap.harmonics import basis, harmonic_space_dim, round_eigenvalue
+from rplap.harmonics import _monomial_exponents, basis, harmonic_space_dim, round_eigenvalue
 from rplap.quadrature import build_sphere_rule
 
 # dimensions of the even-degree spherical-harmonic spaces
@@ -117,3 +117,48 @@ def test_block_lookup_errors():
         b.block_dim(6)
     with pytest.raises(DomainError):
         b.index_of(2, 5)
+
+
+# Reference: each monomial from a per-variable power table, and each ambient
+# partial derivative from the exponent-lowered monomials, one variable at a time.
+def _reference_monomials(exponents, points):
+    out = np.ones((points.shape[0], exponents.shape[0]))
+    for var in range(exponents.shape[1]):
+        powers = exponents[:, var]
+        table = points[:, var : var + 1] ** np.arange(int(powers.max()) + 1)
+        out *= table[:, powers]
+    return out
+
+
+def _reference_tables(b, points):
+    d = b.sphere_dim + 1
+    values, grads = [], []
+    for block in b.blocks:
+        exps = np.array(_monomial_exponents(d, block.degree), dtype=int)
+        values.append(_reference_monomials(exps, points) @ block.coeffs)
+        ambient = np.zeros((points.shape[0], block.coeffs.shape[1], d))
+        for var in range(d):
+            mask = exps[:, var] > 0
+            if np.any(mask):
+                lowered = exps[mask].copy()
+                lowered[:, var] -= 1
+                mono = _reference_monomials(lowered, points) * exps[mask, var]
+                ambient[:, :, var] = mono @ block.coeffs[mask]
+        grads.append(ambient)
+    values = np.concatenate(values, axis=1)
+    radial = values * b.degrees[None, :]
+    return values, np.concatenate(grads, axis=1) - radial[:, :, None] * points[:, None, :]
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 10), (3, 8)])
+def test_kernel_matches_the_per_variable_reference(n, max_degree, rng):
+    b = basis(n, max_degree)
+    pts = rng.standard_normal((300, n + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    ref_values, ref_grads = _reference_tables(b, pts)
+    values = b.evaluate(pts)
+    grads = b.tangential_gradients(pts)
+    assert grads.shape == (300, b.size, n + 1)
+    assert np.swapaxes(grads, 1, 2).flags.c_contiguous
+    assert np.max(np.abs(values - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
+    assert np.max(np.abs(grads - ref_grads)) <= 1e-13 * np.max(np.abs(ref_grads))

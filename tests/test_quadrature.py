@@ -5,11 +5,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from rplap.errors import DomainError
 from rplap.quadrature import (
     ParamSurface,
-    antipodal_permutation,
+    QuadratureRule,
     build_sphere_rule,
     graded_interval_rule,
     integrate,
@@ -80,12 +81,32 @@ def test_projective_integration_halves_even_integrands():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_antipodal_permutation_pairs_nodes(n):
-    rule = build_sphere_rule(n, 10)
-    perm = antipodal_permutation(rule)
-    assert np.all(perm != np.arange(rule.nodes.shape[0]))
-    npt.assert_allclose(rule.nodes[perm], -rule.nodes, rtol=0, atol=1e-12)
-    npt.assert_allclose(rule.weights[perm], rule.weights, rtol=1e-12)
+@pytest.mark.parametrize("degree", [2, 5, 10, 13, 24])
+def test_rule_halves_are_exact_antipodes(n, degree):
+    rule = build_sphere_rule(n, degree)
+    m = rule.size // 2
+    assert rule.size == 2 * m
+    assert np.array_equal(rule.nodes[m:], -rule.nodes[:m])
+    assert np.array_equal(rule.weights[m:], rule.weights[:m])
+    # one representative per pair: no node of the first half is its own
+    # pair's partner or another first-half node's antipode
+    gaps, _ = cKDTree(rule.nodes[:m]).query(-rule.nodes[:m])
+    assert gaps.min() > 1e-8
+
+
+def test_rule_that_breaks_the_antipodal_layout_is_rejected():
+    rule = build_sphere_rule(2, 6)
+    m = rule.size // 2
+    swapped = rule.nodes.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    with pytest.raises(DomainError):
+        QuadratureRule(dim=2, nodes=swapped, weights=rule.weights, exactness=6)
+    skewed = rule.weights.copy()
+    skewed[-1] *= 1.0 + 1e-15
+    with pytest.raises(DomainError):
+        QuadratureRule(dim=2, nodes=rule.nodes, weights=skewed, exactness=6)
+    with pytest.raises(DomainError):
+        QuadratureRule(dim=2, nodes=rule.nodes[:-1], weights=rule.weights[:-1], exactness=6)
 
 
 @given(st.integers(min_value=1, max_value=12))

@@ -172,6 +172,19 @@ def test_gram_assembly_matches_the_einsum_reference(n, spec):
         assert np.array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("n, spec", [(2, "exp:2,1,0.2;4,3,-0.05"), (3, "zonal:0.6")])
+def test_projective_sums_match_the_full_sphere_half_weights(n, spec):
+    # one node per antipodal pair against every node at half weight
+    w = parse_factor(spec, n)
+    rule = default_rule(n)
+    full = math.fsum((0.5 * rule.weights * w.density(rule.nodes)).tolist())
+    assert abs(volume(w, rule=rule) - full) <= 1e-14 * full
+    cap = SphericalCap(veronese_apply(n, np.eye(n + 1)[:1])[0], 0.4)
+    measure = pushforward_measure(w, cap, rule=rule)
+    assert measure.points.shape[0] == rule.size // 2
+    assert abs(math.fsum(measure.weights.tolist()) - full) <= 1e-14 * full
+
+
 def test_odd_basis_degree_rejected():
     with pytest.raises(DomainError):
         eigenvalues(round_factor(2), basis_degree=5)

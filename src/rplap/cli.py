@@ -681,9 +681,9 @@ def build_parser():
     _add_common(sub)
     sub.add_argument("--dim")
     sub.add_argument("--factor")
-    sub.add_argument("--starts", help="slice-grid cells polished by least squares")
+    sub.add_argument("--starts", help="best slice-grid cells, polished together by Gauss-Newton")
     sub.add_argument("--seed")
-    sub.add_argument("--maxiter")
+    sub.add_argument("--maxiter", help="cap on the polish's Gauss-Newton rounds")
     sub.add_argument("--t-max")
     sub.add_argument("--degree")
     sub.add_argument("--threshold")

@@ -77,15 +77,19 @@ def _snap(out, unit):
     return out / np.where(unit, _norm(out), 1.0)[..., None]
 
 
-def _moebius(x, y, unit):
+def _moebius(x, y, unit, strict=True):
+    # strict=False returns NaN rows where the denominator degenerates
     xy = np.sum(x * y, axis=-1, keepdims=True)
     yy = np.sum(y * y, axis=-1, keepdims=True)
     xx = np.sum(x * x, axis=-1, keepdims=True)
     denom = 1.0 + 2.0 * xy + xx * yy
-    if np.min(denom) <= _DENOM_TOL:
-        raise DomainError(
-            f"Moebius translation degenerate: denominator {np.min(denom):.3g}"
-        )
+    degenerate = denom <= _DENOM_TOL
+    if np.any(degenerate):
+        if strict:
+            raise DomainError(
+                f"Moebius translation degenerate: denominator {np.min(denom):.3g}"
+            )
+        denom = np.where(degenerate, np.nan, denom)
     out = ((1.0 + 2.0 * xy + yy) * x + (1.0 - xx) * y) / denom
     return _snap(out, unit)
 
@@ -177,17 +181,18 @@ class SphericalCap:
 
     The cap at parameter t in [0, 1) is the Moebius image T_{t*pole} of that
     hemisphere, which is the set {y : y.pole <= 2t/(1+t^2)}.  t = 0 gives the
-    hemisphere itself; as t -> 1 the cap exhausts the sphere.
+    hemisphere itself; as t -> 1 the cap exhausts the sphere.  A pole (K, 1, m)
+    with t (K, 1, 1) stacks K caps, whose methods map (N, m) points to (K, N, ...).
     """
 
     __slots__ = ("pole", "t")
 
     def __init__(self, pole, t):
         self.pole = as_unit(np.asarray(pole, dtype=float))
-        t = float(t)
-        if not 0.0 <= t <= CAP_T_MAX:
-            raise DomainError(f"cap parameter t = {t!r} outside [0, {CAP_T_MAX}]")
-        self.t = t
+        t = np.asarray(t, dtype=float)
+        if not np.all((0.0 <= t) & (t <= CAP_T_MAX)):
+            raise DomainError(f"cap parameter t = {t} outside [0, {CAP_T_MAX}]")
+        self.t = float(t) if t.ndim == 0 else t
 
     @property
     def threshold(self):
@@ -197,7 +202,7 @@ class SphericalCap:
     def signed_margin(self, y):
         """threshold - y.pole; nonnegative (up to tolerance) inside the cap."""
         y = np.asarray(y, dtype=float)
-        return self.threshold - np.sum(y * self.pole, axis=-1)
+        return (self.threshold - np.sum(y * self.pole, axis=-1, keepdims=True))[..., 0]
 
     def contains(self, y):
         """Inclusive membership test (boundary points count as inside)."""

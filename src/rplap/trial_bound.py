@@ -12,7 +12,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401  (perfbench wraps trial_bound.minimize)
 
 from . import spectral
@@ -105,7 +104,7 @@ def pushforward_measure(w, cap, rule=None):
     if rule is None:
         rule = spectral.default_rule(w.sphere_dim)
     ws = _FieldWorkspace(w, rule)
-    return PushforwardMeasure(points=ws.folded(cap), weights=ws.weights)
+    return PushforwardMeasure(points=_fold(cap, ws.images), weights=ws.weights)
 
 
 def moebius_shifted_uniform(ambient_dim, shift, pairs=128, seed=0):
@@ -132,49 +131,60 @@ class CenterResult:
     verified_residual: float  # recomputed with exact (fsum) summation
 
 
-def _centered(points, weights, center, mass):
-    moved = _moebius(-center, points, True)
-    return moved, np.einsum("i,ij->j", weights, moved) / mass
+def _centered(points, weights, centers, mass, strict=True):
+    moved = _moebius(-centers[:, None, :], points, True, strict)
+    return moved, weights @ moved / mass
 
 
 def _center_iterate(points, weights, tol, max_iter, start=None):
+    """Newton centering of K measures at once: atoms (K, N, m), weights (N,).
+
+    A measure leaves the batch at residual <= tol.  A trial center off the open
+    ball or with a degenerate Moebius denominator is a rejected step.
+    """
     mass = float(np.sum(weights))
-    dim = points.shape[1]
-    center = np.zeros(dim) if start is None else np.asarray(start, dtype=float).copy()
-    moved, mean = _centered(points, weights, center, mass)
-    res = float(np.linalg.norm(mean))
-    history = [res]
-    iterations = 0
-    while res > tol and iterations < max_iter:
-        iterations += 1
+    count, _, dim = points.shape
+    centers = np.zeros((count, dim)) if start is None else np.array(start, dtype=float)
+    moved, mean = _centered(points, weights, centers, mass)
+    res = np.linalg.norm(mean, axis=1)
+    history = [res.copy()]
+    iterations = np.zeros(count, dtype=int)
+    for _ in range(max_iter):
+        rows = np.flatnonzero(res > tol)
+        if rows.size == 0:
+            break
+        iterations[rows] += 1
         # Newton in the recentred frame: the sum of T_{-d}(y) over the moved
         # atoms has Jacobian -2 (mass I - sum w y y^T) at d = 0
-        second = np.einsum("i,ij,ik->jk", weights, moved, moved) / mass
-        shift = 0.5 * np.linalg.solve(np.eye(dim) - second, mean)
-        norm_shift = np.linalg.norm(shift)
-        if norm_shift >= 0.9:
-            shift *= 0.9 / norm_shift
+        second = np.swapaxes(moved[rows] * weights[:, None], 1, 2) @ moved[rows] / mass
+        shift = 0.5 * np.linalg.solve(np.eye(dim) - second, mean[rows, :, None])[..., 0]
+        shift *= (0.9 / np.fmax(np.linalg.norm(shift, axis=1), 0.9))[:, None]
         scale = 1.0
-        while scale >= 1e-10:
-            candidate = as_ball(_moebius(center, scale * shift, False))
-            cand_moved, cand_mean = _centered(points, weights, candidate, mass)
-            cand_res = float(np.linalg.norm(cand_mean))
-            if cand_res < res:
-                center, moved, mean, res = candidate, cand_moved, cand_mean, cand_res
-                break
+        while rows.size:
+            if scale < 1e-10:
+                raise ConvergenceError(
+                    f"center-of-mass step collapsed at residual {res[rows[0]]:.3g}",
+                    [float(h[rows[0]]) for h in history],
+                )
+            trial = _moebius(centers[rows], scale * shift, False)
+            trial[np.sum(trial * trial, axis=1) >= 1.0] = np.nan
+            trial_moved, trial_mean = _centered(points[rows], weights, trial, mass, False)
+            trial_res = np.linalg.norm(trial_mean, axis=1)
+            better = trial_res < res[rows]
+            took = rows[better]
+            centers[took], moved[took] = trial[better], trial_moved[better]
+            mean[took], res[took] = trial_mean[better], trial_res[better]
+            rows, shift = rows[~better], shift[~better]
             scale *= 0.5
-        history.append(res)
-        if scale < 1e-10:
-            raise ConvergenceError(
-                f"center-of-mass step collapsed at residual {res:.3g}", history
-            )
-    if res > tol:
+        history.append(res.copy())
+    worst = int(np.argmax(res))
+    if res[worst] > tol:
         raise ConvergenceError(
             f"center of mass did not reach {tol:.3g} in {max_iter} iterations "
-            f"(residual {res:.3g})",
-            history,
+            f"(residual {res[worst]:.3g})",
+            [float(h[worst]) for h in history],
         )
-    return center, res, iterations, history, mass
+    return centers, moved, res, iterations, history
 
 
 def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
@@ -189,22 +199,17 @@ def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
     exactly rounded summation.
     """
     if start is not None:
-        start = as_ball(start)
-    center, res, iterations, history, mass = _center_iterate(
-        measure.points, measure.weights, tol, max_iter, start=start
+        start = as_ball(start)[None]
+    centers, moved, res, iterations, history = _center_iterate(
+        measure.points[None], measure.weights, tol, max_iter, start=start
     )
-    moved = _moebius(-center, measure.points, True)
-    weighted = moved * measure.weights[:, None]
-    exact = np.array(
-        [math.fsum(weighted[:, j].tolist()) for j in range(moved.shape[1])]
-    )
-    verified = float(np.linalg.norm(exact) / mass)
+    exact = [math.fsum(column) for column in (moved[0] * measure.weights[:, None]).T.tolist()]
     return CenterResult(
-        center=center,
-        residual=res,
-        iterations=iterations,
-        history=tuple(history),
-        verified_residual=verified,
+        center=centers[0],
+        residual=float(res[0]),
+        iterations=int(iterations[0]),
+        history=tuple(float(h[0]) for h in history),
+        verified_residual=float(np.linalg.norm(exact) / measure.mass),
     )
 
 
@@ -232,17 +237,13 @@ class _FieldWorkspace:
         self.images = as_unit(veronese_apply(w.sphere_dim, nodes))
         self.f_values = None if f is None else np.asarray(f(nodes), dtype=float)
 
-    def folded(self, cap):
-        return _fold(cap, self.images)
-
-    def field(self, cap, com_tol=1e-10, com_start=None):
-        atoms = self.folded(cap)
-        center, res, iters, history, _ = _center_iterate(
+    def field(self, poles, ts, com_tol=1e-10, com_start=None):
+        """V on the K caps (poles (K, m), t (K,)): V, centers, residuals."""
+        atoms = _fold(SphericalCap(poles[:, None, :], ts[:, None, None]), self.images)
+        centers, moved, res, _, _ = _center_iterate(
             atoms, self.weights, com_tol, 500, start=com_start
         )
-        moved = _moebius(-center, atoms, True)
-        vec = np.einsum("i,ij->j", self.weights * self.f_values, moved)
-        return vec, center, res, iters
+        return (self.weights * self.f_values) @ moved, centers, res
 
 
 @dataclass(frozen=True)
@@ -263,12 +264,12 @@ def vector_field(w, f, cap, rule=None, com_tol=1e-10):
     if rule is None:
         rule = spectral.default_rule(w.sphere_dim)
     ws = _FieldWorkspace(w, rule, f=f)
-    vec, center, res, _ = ws.field(cap, com_tol=com_tol)
+    vec, center, res = ws.field(cap.pole[None], np.array([cap.t]), com_tol=com_tol)
     return VFieldResult(
-        vector=vec,
-        residual=float(np.linalg.norm(vec)) / ws.mass,
-        center=center,
-        center_residual=res,
+        vector=vec[0],
+        residual=float(np.linalg.norm(vec[0])) / ws.mass,
+        center=center[0],
+        center_residual=float(res[0]),
         mass=ws.mass,
     )
 
@@ -282,8 +283,7 @@ def extended_vector_field(w, f, cap, ball_point, rule=None):
     if rule is None:
         rule = spectral.default_rule(w.sphere_dim)
     ws = _FieldWorkspace(w, rule, f=f)
-    atoms = ws.folded(cap)
-    moved = moebius_apply(np.asarray(ball_point, dtype=float) * -1.0, atoms)
+    moved = moebius_apply(np.asarray(ball_point, dtype=float) * -1.0, _fold(cap, ws.images))
     first = np.einsum("i,ij->j", ws.weights, moved)
     second = np.einsum("i,ij->j", ws.weights * ws.f_values, moved)
     return np.concatenate([first, second])
@@ -298,7 +298,14 @@ class SearchResult:
     mass: float
     trace: tuple  # best-so-far residuals, one entry per objective evaluation
     evaluations: int
-    start_results: tuple  # (residual, t) per least-squares polish
+    start_results: tuple  # (residual, t) where each polished start ended
+
+
+SEARCH_TOL = 1e-14         # |V| / mass at which a polished start has converged
+SEARCH_FD_STEP = 1.5e-8    # forward-difference step in the pole's tangent coordinates and t
+SEARCH_STEP_CAP = 0.5      # largest Gauss-Newton step
+SEARCH_MIN_SCALE = 2.0**-10  # a step halved below this has collapsed
+SEARCH_PROGRESS = 0.99     # a round must cut a residual below this share of the last
 
 
 def _principal_slice_basis(w, f, rule, seed=0):
@@ -350,17 +357,19 @@ def search_vector_field_zero(
     maxiter=250,
     com_tol=1e-12,
 ):
-    """Zero of V(pole, t): slice-grid scan, then a least-squares polish.
+    """Zero of V(pole, t): slice-grid scan, then lockstep Gauss-Newton.
 
     w is volume-normalized first; f defaults to the first excited
-    eigenfunction of the metric.  A grid over poles in the principal slice of
-    f's quadratic part (where the field is tangent to the slice) and over t
-    is scanned first; the `starts` lowest-residual grid cells are then
-    polished by least squares on the vector residual V / mass over
-    (direction, t), each with at most `maxiter` evaluations besides those of
-    its finite-difference Jacobians.  `seed` seeds the slice fit; there are
-    no random starts, and the result is deterministic.  V is only as accurate
-    as its center, so the centering tolerance sits below the polish's target.
+    eigenfunction of the metric.  All cells of a grid over t and over poles in
+    the principal slice of f's quadratic part (where the field is tangent to
+    the slice) are evaluated in one batch.  The `starts` best cells are then
+    polished together by damped Gauss-Newton on V / mass over the pole's
+    tangent coordinates and t, for at most `maxiter` rounds, each with one
+    batch of forward-difference Jacobians.  A start stops at |V| / mass <=
+    SEARCH_TOL, when no halving of its step lowers the residual, or when a
+    round fails to cut it below SEARCH_PROGRESS times the last.  `seed` seeds
+    the slice fit; the result is deterministic.  V is only as accurate as its
+    center, so the centering tolerance sits below the polish's target.
     """
     n = w.sphere_dim
     if rule is None:
@@ -369,54 +378,70 @@ def search_vector_field_zero(
     if f is None:
         f = spectral.first_excited_state(spectral.eigenvalues(w, basis_degree))
     ws = _FieldWorkspace(w, rule, f=f)
-    ambient = ws.images.shape[1]
     t_cap = min(t_max, 0.999)
-
     trace = []
     best = {"residual": np.inf, "pole": None, "t": None, "center": None}
-    state = {"com_start": None}
 
-    def field_at(params):
-        direction = params[:ambient]
-        norm = np.linalg.norm(direction)
-        if norm < 1e-8:
-            direction, norm = np.eye(ambient)[0], 1.0
-        pole, t = direction / norm, float(np.clip(params[ambient], 0.0, t_cap))
-        vec, center, _, _ = ws.field(
-            SphericalCap(pole, t), com_tol=com_tol, com_start=state["com_start"]
-        )
-        state["com_start"] = center
-        vec = vec / ws.mass
-        res = float(np.linalg.norm(vec))
-        if res < best["residual"]:
-            best.update(residual=res, pole=pole, t=t, center=center)
-        trace.append(best["residual"])
-        return vec
+    def field(poles, ts, com_start=None):
+        vecs, centers, _ = ws.field(poles, ts, com_tol=com_tol, com_start=com_start)
+        vecs /= ws.mass
+        res = np.linalg.norm(vecs, axis=1)
+        for k, residual in enumerate(res.tolist()):
+            if residual < best["residual"]:
+                best.update(residual=residual, pole=poles[k], t=float(ts[k]), center=centers[k])
+            trace.append(best["residual"])
+        return vecs, res, centers
 
     slice_basis = _principal_slice_basis(w, f, rule, seed=seed)
-    cells, seen_whole = [], False
-    for angle in np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False):
-        direction = slice_basis @ np.concatenate(
-            [[math.cos(angle), math.sin(angle)], np.zeros(slice_basis.shape[1] - 2)]
-        )
-        for t0 in np.linspace(0.0, min(0.9, t_cap), 10):
-            # the fold is the identity on a cap holding every image, so V takes
-            # one value on all such caps: evaluate the first one only
-            whole = bool(SphericalCap(direction, t0).contains(ws.images).all())
-            if whole and seen_whole:
-                continue
-            seen_whole |= whole
-            params = np.append(direction, t0)
-            cells.append((float(np.linalg.norm(field_at(params))), params))
+    angles = np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False)
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ slice_basis[:, :2].T
+    poles = as_unit(np.repeat(directions, 10, axis=0))
+    ts = np.tile(np.linspace(0.0, min(0.9, t_cap), 10), angles.size)
+    # the fold is the identity on a cap holding every image, so V takes one
+    # value on all such caps: evaluate the first one only
+    whole = SphericalCap(poles[:, None], ts[:, None, None]).contains(ws.images).all(axis=1)
+    keep = ~whole | (np.cumsum(whole) == 1)
+    vec, res, center = field(poles[keep], ts[keep])
+    order = np.argsort(res, kind="stable")[:starts]
+    pole, t, vec, res, center = (a[order] for a in (poles[keep], ts[keep], vec, res, center))
 
-    start_results = []
-    for _, params in sorted(cells, key=lambda cell: cell[0])[:starts]:
-        state["com_start"] = None
-        # scipy's default gtol = 1e-8 would stop the polish near |V| / mass = 1e-8
-        out = least_squares(field_at, params, xtol=1e-15, gtol=1e-15, max_nfev=maxiter)
-        start_results.append(
-            (float(np.linalg.norm(out.fun)), float(np.clip(out.x[ambient], 0.0, t_cap)))
-        )
+    dim = pole.shape[1]  # unknowns: the pole's dim - 1 tangent coordinates, and t
+    cutoff = dim * np.finfo(float).eps
+
+    def moved(rows, steps, frames):
+        shifted = pole[rows] + (frames[rows] @ steps[:, :-1, None])[..., 0]
+        shifted /= np.linalg.norm(shifted, axis=1, keepdims=True)
+        return shifted, np.clip(t[rows] + steps[:, -1], 0.0, t_cap)
+
+    active = res > SEARCH_TOL
+    for _ in range(maxiter):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        frames = tangent_basis(pole)  # (starts, dim, dim - 1)
+        # forward differences, warm-started at each start's center
+        probes = np.repeat(rows, dim)
+        differences = np.tile(SEARCH_FD_STEP * np.eye(dim), (rows.size, 1))
+        probe_vec, _, _ = field(*moved(probes, differences, frames), center[probes])
+        jac = ((probe_vec - vec[probes]) / SEARCH_FD_STEP).reshape(-1, dim, dim).transpose(0, 2, 1)
+        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ vec[rows, :, None])[..., 0]
+        # a step pushing t below 0 where t = 0 moves the pole alone
+        jac[(t[rows] <= 0.0) & (steps[:, -1] < 0.0), :, -1] = 0.0
+        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ vec[rows, :, None])[..., 0]
+        size = np.linalg.norm(steps, axis=1)
+        steps *= (SEARCH_STEP_CAP / np.fmax(size, SEARCH_STEP_CAP))[:, None]
+        before = res[rows]
+        left, scale = np.flatnonzero(size > 0.0), 1.0  # positions in rows still halving
+        while left.size and scale >= SEARCH_MIN_SCALE:
+            took = rows[left]
+            trial_pole, trial_t = moved(took, scale * steps[left], frames)
+            trial_vec, trial_res, trial_center = field(trial_pole, trial_t, center[took])
+            better = trial_res < res[took]
+            took = took[better]
+            pole[took], t[took], vec[took] = trial_pole[better], trial_t[better], trial_vec[better]
+            res[took], center[took] = trial_res[better], trial_center[better]
+            left, scale = left[~better], 0.5 * scale
+        active[rows] = (res[rows] > SEARCH_TOL) & (res[rows] < SEARCH_PROGRESS * before)
     return SearchResult(
         pole=best["pole"],
         t=best["t"],
@@ -425,7 +450,7 @@ def search_vector_field_zero(
         mass=ws.mass,
         trace=tuple(trace),
         evaluations=len(trace),
-        start_results=tuple(start_results),
+        start_results=tuple(zip(res.tolist(), t.tolist())),
     )
 
 

@@ -94,6 +94,13 @@ def test_com_solve_numerical_failure_exits_3(capsys):
     assert err.startswith("numerical failure")
 
 
+def test_com_solve_near_the_sphere_is_never_a_configuration_error(capsys):
+    # trial centers whose Moebius denominators degenerate are rejected steps
+    code, _, err = run(capsys, "com-solve", "--shift", "0.9999999,0,0", "--pairs", "16")
+    assert code in (0, 3)
+    assert "configuration error" not in err
+
+
 def test_com_solve_pushforward_mode(capsys):
     code, out, _ = run(capsys, "com-solve", "--dim", "2", "--factor", "round", "--t", "0.4")
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rplap
-from rplap import trial_bound
+from rplap import spectral, trial_bound
 from rplap.errors import DomainError
 from rplap.quadrature import projective_volume
 from rplap.sphere_geom import SphericalCap, moebius_apply
@@ -203,7 +203,7 @@ def test_search_drives_the_field_to_zero():
     assert result.residual <= 1e-10
     assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
     assert len(result.trace) == result.evaluations
-    # one least-squares polish per requested grid cell, no random starts
+    # one polished start per requested grid cell, no random starts
     assert len(result.start_results) == 2
     assert 0.0 <= result.t <= 0.999
     npt.assert_allclose(np.linalg.norm(result.pole), 1.0, rtol=0, atol=1e-12)
@@ -214,15 +214,43 @@ def test_search_evaluates_one_cap_holding_every_image(monkeypatch):
     whole = []
     field = trial_bound._FieldWorkspace.field
 
-    def recording(self, cap, **kwargs):
-        whole.append(bool(cap.contains(self.images).all()))
-        return field(self, cap, **kwargs)
+    def recording(self, poles, ts, **kwargs):
+        caps = SphericalCap(poles[:, None], ts[:, None, None])
+        whole.extend(caps.contains(self.images).all(axis=1).tolist())
+        return field(self, poles, ts, **kwargs)
 
     monkeypatch.setattr(trial_bound._FieldWorkspace, "field", recording)
     # no polish, so every evaluation is a slice-grid cell
     result = search_vector_field_zero(zonal_factor(2, 0.5), starts=0, seed=0)
     assert len(whole) == result.evaluations > 100
     assert sum(whole) == 1  # the first such cap is kept, the rest skipped
+
+
+def test_field_on_a_stack_of_caps_matches_each_cap_alone():
+    w, rule = zonal_factor(2, 0.5), spectral.default_rule(2)
+    f = lambda pts: pts[:, 2] ** 2 - 1.0 / 3.0
+    base = np.random.default_rng(11).standard_normal((5, 3))
+    poles = veronese_apply(2, base / np.linalg.norm(base, axis=1, keepdims=True))
+    ts = np.array([0.0, 0.2, 0.45, 0.7, 0.95])
+    ws = trial_bound._FieldWorkspace(w, rule, f=f)
+    vecs, centers, _ = ws.field(poles, ts, com_tol=1e-12)
+    for pole, t, vec, center in zip(poles, ts, vecs, centers):
+        alone = vector_field(w, f, SphericalCap(pole, t), rule=rule, com_tol=1e-12)
+        npt.assert_allclose(vec, alone.vector, rtol=0, atol=1e-12 * ws.mass)
+        npt.assert_allclose(center, alone.center, rtol=0, atol=1e-12)
+
+
+def test_criterion_6_search_evaluates_at_most_700_caps():
+    result = search_vector_field_zero(zonal_factor(2, 0.5), starts=6, seed=0, maxiter=80)
+    assert result.residual <= 1e-10
+    assert result.evaluations <= 700
+    assert len(result.trace) == result.evaluations
+
+
+def test_search_finds_the_field_zero_in_dimension_three():
+    result = search_vector_field_zero(zonal_factor(3, 0.4), starts=6, seed=0, maxiter=80)
+    assert result.residual <= 1e-10
+    assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
 
 
 _SEARCH_SCRIPT = """

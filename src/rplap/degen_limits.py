@@ -34,6 +34,10 @@ __all__ = [
     "moebius_area_two_routes",
 ]
 
+GRADED_LEVELS = 26  # refinement levels toward the focus on a one-parameter chart
+GRADED_TENSOR_LEVELS = 14  # per axis of a two-parameter chart, keeping the node count sane
+GRADED_PANEL_POINTS = 12  # Gauss-Legendre points per panel
+
 
 def circle_arc(through, toward, angle_range=(-math.pi, math.pi), count=64, name=""):
     """Unit-speed great-circle arc through `through` heading toward `toward`.
@@ -214,19 +218,17 @@ def _graded_nodes(box, focus, levels, panel_points):
     return per_axis[0] if len(per_axis) == 1 else _tensor_rule(*per_axis)
 
 
-def _weighted_volume(surface, weight, focus, levels, panel_points):
+def _weighted_volume(surface, weight, focus):
     box = _param_box(surface)
-    if len(box) > 1:
-        # tensor rule: cap the per-axis refinement to keep the node count sane
-        levels = min(levels, 14)
-    nodes, weights = _graded_nodes(box, focus, levels, panel_points)
+    levels = GRADED_LEVELS if len(box) == 1 else GRADED_TENSOR_LEVELS
+    nodes, weights = _graded_nodes(box, focus, levels, GRADED_PANEL_POINTS)
     coarse = surface_measure(surface, weight=weight, nodes=nodes, weights=weights)
-    nodes2, weights2 = _graded_nodes(box, focus, levels + 6, panel_points + 4)
+    nodes2, weights2 = _graded_nodes(box, focus, levels + 6, GRADED_PANEL_POINTS + 4)
     fine = surface_measure(surface, weight=weight, nodes=nodes2, weights=weights2)
     return fine, abs(fine - coarse)
 
 
-def fold_limit_volume(surface, pole, t_values, band=0.02, levels=26, panel_points=12):
+def fold_limit_volume(surface, pole, t_values, band=0.02):
     """Volume of the folded surface for each cap parameter t.
 
     The bound column is volume(full sphere) + volume(surface): the fold can
@@ -244,9 +246,7 @@ def fold_limit_volume(surface, pole, t_values, band=0.02, levels=26, panel_point
         def weight(points, cap=cap):
             return fold_factor(cap, points) ** dim
 
-        volume, err = _weighted_volume(
-            surface, weight, focus=focus, levels=levels, panel_points=panel_points
-        )
+        volume, err = _weighted_volume(surface, weight, focus)
         rows.append(
             LimitRow(
                 parameter=float(t),
@@ -259,7 +259,7 @@ def fold_limit_volume(surface, pole, t_values, band=0.02, levels=26, panel_point
     return rows
 
 
-def moebius_limit_volume(surface, ball_points, band=0.02, levels=26, panel_points=12):
+def moebius_limit_volume(surface, ball_points, band=0.02):
     """Volume of the Moebius-translated surface for each ball point x.
 
     The bound column is the sphere volume: as |x| -> 1 the image volume can
@@ -276,9 +276,7 @@ def moebius_limit_volume(surface, ball_points, band=0.02, levels=26, panel_point
             return moebius_factor(x, points) ** dim
 
         focus = _focus_point(surface, lambda pts: -(pts @ x))
-        volume, err = _weighted_volume(
-            surface, weight, focus=focus, levels=levels, panel_points=panel_points
-        )
+        volume, err = _weighted_volume(surface, weight, focus)
         rows.append(
             LimitRow(
                 parameter=float(np.linalg.norm(x)),

@@ -304,13 +304,8 @@ def reflection_symmetry_check(sphere_map, half_dim, seed=0):
         )
         points = np.concatenate([points, batch[keep]], axis=0)
     points = points[:SYMMETRY_SAMPLES]
-    a, b = points[:, :k], points[:, k:]
 
-    moved = np.concatenate([_reflect(a, b, False), -b], axis=1)
-    values = _map_images(sphere_map, moved)
-    conjugated = np.concatenate(
-        [_reflect(values[:, :k], b, False), _reflect(values[:, k:], b, False)], axis=1
-    )
+    conjugated = reflection_conjugate(lambda pts: _map_images(sphere_map, pts), half_dim)(points)
     direct = _map_images(sphere_map, points)
     pair_dev = float(np.max(np.linalg.norm(conjugated - direct, axis=1)))
 

@@ -1,9 +1,14 @@
 """Real spherical harmonics on S^n as explicit harmonic polynomials.
 
 Each degree block is a basis of homogeneous harmonic polynomials in n+1
-variables, orthonormalized against the exact sphere inner product and scaled
-so that the half-sphere (projective) mass matrix is the identity.  Explicit
-monomial coefficients give exact evaluation and exact ambient gradients: one
+variables that the maths fixes, not a solver's choice of basis.  Every
+monomial y^alpha with alpha_0 <= 1 leads exactly one harmonic: itself plus
+monomials with alpha_0 >= 2, whose coefficients one triangular solve of
+Laplace's equation gives.  Gram-Schmidt in that monomial order against the
+exact half-sphere (projective) inner product, the inverse Cholesky factor of
+the Gram matrix, makes the projective mass matrix the identity and keeps the
+basis a continuous function of the monomial integrals.  Explicit monomial
+coefficients give exact evaluation and exact ambient gradients: one
 recursive table holds the monomials of every degree at the points (level k is
 level k-1 times one coordinate), and each block maps its level to values and
 the level below to gradients with one matrix product each.
@@ -16,7 +21,8 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.special import gammaln
 
 from .errors import DomainError, NumericError
 
@@ -78,16 +84,6 @@ def _monomial_levels(points, degree):
     return levels
 
 
-def _sphere_monomial_integral(alpha):
-    """Exact integral of the monomial y^alpha over the unit sphere in R^d."""
-    if any(a % 2 for a in alpha):
-        return 0.0
-    d = len(alpha)
-    log_num = sum(math.lgamma((a + 1) / 2.0) for a in alpha)
-    log_den = math.lgamma((sum(alpha) + d) / 2.0)
-    return 2.0 * math.exp(log_num - log_den)
-
-
 def _partial_matrix(exps, exps_lower, var, order):
     """Matrix of the order-th partial in y_var from coefficients over exps to exps_lower."""
     index = {alpha: i for i, alpha in enumerate(exps_lower)}
@@ -112,32 +108,25 @@ class _Block:
 def _harmonic_block(n, degree):
     d = n + 1
     exps = _monomial_exponents(d, degree)
-    if degree == 0:
-        coeffs = np.array([[1.0]])
-    else:
-        lower = _monomial_exponents(d, degree - 2)
-        lap = sum(_partial_matrix(exps, lower, var, 2) for var in range(d))
-        coeffs = null_space(lap)
-    expected = harmonic_space_dim(n, degree)
-    if coeffs.shape[1] != expected:
-        raise NumericError(
-            f"harmonic space dimension mismatch at degree {degree}: "
-            f"{coeffs.shape[1]} != {expected}"
-        )
-    # Gram matrix of the null-space basis against the half-sphere inner product,
-    # integrating each distinct exponent sum once with the scalar formula (an
-    # ulp of change rotates the basis inside degenerate eigenspaces of the
-    # Gram matrix, which changes what a harmonic index refers to)
     exp_arr = np.array(exps, dtype=int)
-    sums = (exp_arr[:, None, :] + exp_arr[None, :, :]).reshape(-1, d)
-    distinct, where = np.unique(sums, axis=0, return_inverse=True)
-    integrals = np.array([_sphere_monomial_integral(alpha) for alpha in distinct.tolist()])
-    mono_gram = 0.5 * integrals[where.ravel()].reshape(len(exps), len(exps))
-    gram = coeffs.T @ mono_gram @ coeffs
-    vals, vecs = eigh(gram)
-    if np.min(vals) <= 0:
-        raise NumericError(f"harmonic Gram matrix not positive at degree {degree}")
-    coeffs = coeffs @ vecs @ np.diag(1.0 / np.sqrt(vals))
+    # alpha -> alpha - 2 e_0 maps the monomials that are not free onto the
+    # degree - 2 ones in order: their Laplacian columns are upper triangular
+    free = exp_arr[:, 0] <= 1
+    lower = [(alpha[0] - 2,) + alpha[1:] for alpha in exps if alpha[0] >= 2]
+    lap = sum(_partial_matrix(exps, lower, var, 2) for var in range(d))
+    coeffs = np.zeros((len(exps), int(free.sum())))
+    coeffs[free] = np.eye(coeffs.shape[1])
+    coeffs[~free] = -solve_triangular(lap[:, ~free], lap[:, free])
+    # projective integral of y^b: prod Gamma((b_i + 1) / 2) / Gamma((|b| + d) / 2)
+    # if every b_i is even, else 0
+    sums = exp_arr[:, None, :] + exp_arr[None, :, :]
+    log_gram = gammaln((sums + 1) / 2.0).sum(axis=-1) - gammaln((sums.sum(axis=-1) + d) / 2.0)
+    mono_gram = np.where(np.all(sums % 2 == 0, axis=-1), np.exp(log_gram), 0.0)
+    try:
+        chol = cholesky(coeffs.T @ mono_gram @ coeffs)
+    except LinAlgError as exc:
+        raise NumericError(f"harmonic Gram matrix not positive at degree {degree}") from exc
+    coeffs = solve_triangular(chol, coeffs.T, trans="T").T
     grad_coeffs = None
     if degree > 0:
         lower = _monomial_exponents(d, degree - 1)

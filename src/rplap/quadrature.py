@@ -167,6 +167,7 @@ def integrate_projective(rule, f):
 
 
 _FD_STEP = 1e-6  # central-difference step for charts without a jacobian
+_GRADING_RATIO = 0.5  # panel shrink per level of a graded interval rule
 
 
 @dataclass
@@ -236,10 +237,10 @@ def interval_rule(a, b, count):
     return (mid + half * x)[:, None], half * w
 
 
-def graded_interval_rule(a, b, focus, levels=20, panel_points=10, ratio=0.5):
+def graded_interval_rule(a, b, focus, levels=20, panel_points=10):
     """Panel rule on [a, b] geometrically refined toward an interior focus.
 
-    Panels shrink by `ratio` per level approaching the focus from both
+    Panels shrink by _GRADING_RATIO per level approaching the focus from both
     sides, resolving integrands that concentrate there.
     """
     if not a <= focus <= b:
@@ -251,7 +252,7 @@ def graded_interval_rule(a, b, focus, levels=20, panel_points=10, ratio=0.5):
             continue
         step = span
         for _ in range(levels):
-            step *= ratio
+            step *= _GRADING_RATIO
             breakpoints.add(focus + math.copysign(step, outer - focus))
     cuts = sorted(breakpoints)
     nodes, weights = [], []

@@ -49,6 +49,8 @@ __all__ = [
 
 DEFAULT_BASIS_DEGREE = {2: 8, 3: 6}
 _EVEN_CHECK_SAMPLES = 64
+_EVEN_CHECK_SEED = 7
+_RULE_MARGIN = 8  # degrees of exactness beyond twice the basis degree
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class ConformalFactor:
         """Volume density w^{n/2} against the round measure."""
         return self.values(points) ** (self.sphere_dim / 2.0)
 
-    def validate(self, seed=7):
-        rng = np.random.default_rng(seed)
+    def validate(self):
+        rng = np.random.default_rng(_EVEN_CHECK_SEED)
         pts = rng.standard_normal((_EVEN_CHECK_SAMPLES, self.sphere_dim + 1))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         plus = self.values(pts)
@@ -122,9 +124,10 @@ def zonal_factor(n, eps):
 def harmonic_factor(n, triples):
     """w = exp(u) with u given by (degree, index, coefficient) triples.
 
-    Degrees must be even and nonnegative; indices address the orthonormal
-    even-harmonic basis (unit mass over projective space) within each degree
-    block; coefficients are real.
+    Degrees must be even and nonnegative; coefficients are real.  Index i in
+    a degree block names the orthonormal harmonic (unit mass over projective
+    space) led by the block's i-th monomial with y_0 exponent at most 1, in
+    descending exponent order.
     """
     triples = tuple((int(d), int(i), float(c)) for d, i, c in triples)
     if not triples:
@@ -173,11 +176,11 @@ def parse_factor(text, n):
     raise ConfigError(f"unknown conformal factor spec {text!r}")
 
 
-def default_rule(n, basis_degree=None, margin=8):
-    """Assembly quadrature: exact through twice the basis degree plus margin."""
+def default_rule(n, basis_degree=None):
+    """Assembly quadrature: exact through twice the basis degree plus _RULE_MARGIN."""
     if basis_degree is None:
         basis_degree = DEFAULT_BASIS_DEGREE[n]
-    return build_sphere_rule(n, 2 * basis_degree + margin)
+    return build_sphere_rule(n, 2 * basis_degree + _RULE_MARGIN)
 
 
 def _projective_weights(w, rule):
@@ -278,9 +281,6 @@ class EigenResult:
     factor: ConformalFactor
     rule_exactness: int
 
-    def eigenfunction(self, index):
-        return EigenFunction(basis=self.basis, coeffs=self.vectors[:, index])
-
 
 def eigenvalues(w, basis_degree=None, count=None, rule=None):
     """Solve the Galerkin eigenproblem for the metric w * g on RP^n.
@@ -314,13 +314,18 @@ def eigenvalues(w, basis_degree=None, count=None, rule=None):
 def first_excited_state(result):
     """Eigenfunction of the smallest positive eigenvalue (index 1).
 
-    For a degenerate eigenvalue this is the first vector of the eigenspace in
-    the solver's ordering; it is mass-normalized and mass-orthogonal to the
-    constants, hence has zero mean against the metric volume element.
+    With V the mass-orthonormal vectors of that eigenvalue's cluster and j
+    the first row with |V[j]| > 1e-8, this is V V[j] / |V[j]|, whatever basis
+    of the eigenspace the solver returned: mass-normalized, positive in its
+    j-th coefficient and mass-orthogonal to the constants, hence of zero mean
+    against the metric volume element.
     """
     if result.eigenvalues.shape[0] < 2:
         raise DomainError("need at least two eigenpairs for the excited state")
-    return result.eigenfunction(1)
+    count = cluster_eigenvalues(result.eigenvalues[1:])[0][1]
+    vecs = result.vectors[:, 1 : 1 + count]
+    row = vecs[np.flatnonzero(np.linalg.norm(vecs, axis=1) > 1e-8)[0]]
+    return EigenFunction(basis=result.basis, coeffs=vecs @ row / np.linalg.norm(row))
 
 
 def cluster_eigenvalues(values, tol=1e-6):

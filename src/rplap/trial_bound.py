@@ -306,6 +306,7 @@ SEARCH_FD_STEP = 1.5e-8    # forward-difference step in the pole's tangent coord
 SEARCH_STEP_CAP = 0.5      # largest Gauss-Newton step
 SEARCH_MIN_SCALE = 2.0**-10  # a step halved below this has collapsed
 SEARCH_PROGRESS = 0.99     # a round must cut a residual below this share of the last
+SEARCH_COM_TOL = 1e-12     # centering tolerance: V is only as accurate as its center
 
 
 def _principal_slice_basis(w, f, rule, seed=0):
@@ -355,7 +356,6 @@ def search_vector_field_zero(
     seed=0,
     t_max=0.999,
     maxiter=250,
-    com_tol=1e-12,
 ):
     """Zero of V(pole, t): slice-grid scan, then lockstep Gauss-Newton.
 
@@ -369,7 +369,8 @@ def search_vector_field_zero(
     SEARCH_TOL, when no halving of its step lowers the residual, or when a
     round fails to cut it below SEARCH_PROGRESS times the last.  `seed` seeds
     the slice fit; the result is deterministic.  V is only as accurate as its
-    center, so the centering tolerance sits below the polish's target.
+    center, so the centering tolerance SEARCH_COM_TOL sits below the
+    polish's target.
     """
     n = w.sphere_dim
     if rule is None:
@@ -383,7 +384,7 @@ def search_vector_field_zero(
     best = {"residual": np.inf, "pole": None, "t": None, "center": None}
 
     def field(poles, ts, com_start=None):
-        vecs, centers, _ = ws.field(poles, ts, com_tol=com_tol, com_start=com_start)
+        vecs, centers, _ = ws.field(poles, ts, com_tol=SEARCH_COM_TOL, com_start=com_start)
         vecs /= ws.mass
         res = np.linalg.norm(vecs, axis=1)
         for k, residual in enumerate(res.tolist()):

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rplap import harmonics
 from rplap.errors import DomainError
 from rplap.harmonics import _monomial_exponents, basis, harmonic_space_dim, round_eigenvalue
 from rplap.quadrature import build_sphere_rule
+from rplap.spectral import eigenvalues, parse_factor
 
 # dimensions of the even-degree spherical-harmonic spaces
 SPACE_DIMS = {
@@ -162,3 +164,48 @@ def test_kernel_matches_the_per_variable_reference(n, max_degree, rng):
     assert np.swapaxes(grads, 1, 2).flags.c_contiguous
     assert np.max(np.abs(values - ref_values)) <= 1e-13 * np.max(np.abs(ref_values))
     assert np.max(np.abs(grads - ref_grads)) <= 1e-13 * np.max(np.abs(ref_grads))
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 10), (3, 8)])
+def test_each_harmonic_is_led_by_its_own_free_monomial(n, max_degree):
+    # rows of the monomials with y_0 exponent <= 1, in descending order: the
+    # inverse Cholesky factor of the Gram matrix, upper triangular
+    for block in basis(n, max_degree).blocks:
+        exps = np.array(_monomial_exponents(n + 1, block.degree))
+        lead = block.coeffs[exps[:, 0] <= 1]
+        assert lead.shape == (block.coeffs.shape[1],) * 2
+        assert np.array_equal(lead, np.triu(lead))
+        assert np.all(np.diag(lead) > 0.0)
+
+
+@pytest.fixture
+def rebuilt_blocks():
+    """Empty the harmonic block caches now, on request, and after the test."""
+
+    def clear():
+        harmonics._harmonic_block.cache_clear()
+        harmonics.basis.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def test_exp_spectra_ignore_the_last_ulp_of_the_monomial_integrals(rebuilt_blocks, monkeypatch):
+    # criterion 3's exp: factors name basis functions by index, so the basis
+    # must depend continuously on the Gram matrix
+    specs = {2: "exp:2,0,0.25;4,1,0.1;2,2,-0.15", 3: "exp:2,0,0.2;4,3,0.1;2,5,-0.1"}
+
+    def spectra():
+        return [eigenvalues(parse_factor(spec, n)).eigenvalues for n, spec in specs.items()]
+
+    exact = spectra()
+    rebuilt_blocks()
+    noise, gammaln = np.random.default_rng(0), harmonics.gammaln
+    # every log-Gamma shifted by up to 1e-15: each monomial integral changes
+    # by a relative few 1e-15
+    monkeypatch.setattr(
+        harmonics, "gammaln", lambda x: gammaln(x) + 1e-15 * noise.uniform(-1.0, 1.0, np.shape(x))
+    )
+    for before, after in zip(exact, spectra()):
+        assert np.max(np.abs(after - before)) <= 1e-12

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -126,6 +127,16 @@ def test_eigenfunction_gradient_consistency(rng):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     grads = u.tangential_gradient(pts)
     npt.assert_allclose(np.einsum("kd,kd->k", grads, pts), 0.0, rtol=0, atol=1e-12)
+
+
+def test_first_excited_state_ignores_the_basis_of_its_eigenspace():
+    result = eigenvalues(round_factor(3))
+    assert cluster_eigenvalues(result.eigenvalues)[1][1] == 9
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((9, 9)))
+    vectors = result.vectors.copy()
+    vectors[:, 1:10] = vectors[:, 1:10] @ q
+    rotated = first_excited_state(replace(result, vectors=vectors))
+    npt.assert_allclose(rotated.coeffs, first_excited_state(result).coeffs, rtol=0, atol=1e-12)
 
 
 def test_cluster_eigenvalues_grouping():

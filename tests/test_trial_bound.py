@@ -270,6 +270,32 @@ def test_search_does_not_depend_on_the_blas_thread_count():
     assert min(np.max(np.abs(pole_two - pole_one)), np.max(np.abs(pole_two + pole_one))) <= 1e-8
 
 
+_DIMENSION_THREE_SCRIPT = """
+import json
+import numpy as np
+from rplap import spectral
+from rplap.trial_bound import search_vector_field_zero
+points = np.random.default_rng(5).standard_normal((50, 4))
+points /= np.linalg.norm(points, axis=1, keepdims=True)
+values = {}
+for spec in ("round", "zonal:0.2", "zonal:-0.2", "zonal:0.4", "zonal:-0.4"):
+    f = spectral.first_excited_state(spectral.eigenvalues(spectral.parse_factor(spec, 3)))
+    values[spec] = f(points).tolist()
+result = search_vector_field_zero(spectral.round_factor(3), starts=6, seed=0, maxiter=80)
+print(json.dumps([result.residual, values]))
+"""
+
+
+def test_round_dimension_three_field_zero_under_either_blas_thread_count():
+    # lambda_1 = 8 has multiplicity 9 here, so f is only reproducible if it is
+    # chosen by the maths rather than by the eigensolver's ordering
+    runs = [_run_with_blas_threads(_DIMENSION_THREE_SCRIPT, threads) for threads in ("1", "2")]
+    (res_one, values_one), (res_two, values_two) = runs
+    assert res_one <= 1e-10 and res_two <= 1e-10
+    for spec, values in values_one.items():
+        npt.assert_allclose(values_two[spec], values, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # The energy chain
 

@@ -1,9 +1,13 @@
 """Command-line interface: numerical experiments with JSON/CSV reports.
 
+Each option is declared once, in `build_parser`, with its type and default.
 Options resolve in three layers: command-line flags override the command's
 own section in an INI config file, which overrides its [defaults] section.
-Exit codes: 0 = pass, 1 = a checked assertion failed, 2 = configuration
-error, 3 = numerical failure (non-convergence, unresolved integer, ...).
+Config values become argparse defaults, so they are parsed like flags, and
+a bad value, from either place, is reported under its flag's name.
+Exit codes: 0 = pass, 1 = a checked assertion failed (vfield-search: the
+best residual is above --threshold), 2 = configuration error, 3 = numerical
+failure (non-convergence, unresolved integer, ...).
 """
 
 import argparse
@@ -37,75 +41,52 @@ _NUMERIC_ERRORS = (
 
 
 def _to_bool(text):
-    lowered = str(text).strip().lower()
+    lowered = text.strip().lower()
     if lowered in {"1", "true", "yes", "on"}:
         return True
     if lowered in {"0", "false", "no", "off"}:
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
 def _floats(text):
-    parts = [p.strip() for p in str(text).replace(";", ",").split(",")]
+    parts = [p.strip() for p in text.replace(";", ",").split(",")]
     try:
         return [float(p) for p in parts if p]
-    except ValueError as exc:
-        raise ConfigError(f"not a list of numbers: {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
 def _ints(text):
     """Parse '1,3,5' and '1-8' style integer lists."""
     out = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part[1:]:
             lo, _, hi = part.partition("-")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise ConfigError(f"not an integer range: {part!r}") from exc
-            out.extend(range(lo_i, hi_i + 1))
         else:
-            try:
-                out.append(int(part))
-            except ValueError as exc:
-                raise ConfigError(f"not an integer: {part!r}") from exc
+            lo = hi = part  # one integer: the range lo..lo
+        try:
+            out.extend(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer or range: {part!r}") from None
     if not out:
-        raise ConfigError(f"empty integer list: {text!r}")
+        raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
     return out
 
 
-class Options:
-    """Layered option lookup: CLI over config section over [defaults]."""
-
-    def __init__(self, args, config, command):
-        self._args = vars(args)
-        self._config = config
-        self._command = command
-
-    def get(self, name, cast=str, default=None):
-        value = self._args.get(name.replace("-", "_"))
-        if value is None:
-            for section in (self._command, "defaults"):
-                if self._config.has_option(section, name):
-                    value = self._config.get(section, name)
-                    break
-        if value is None:
-            return default
-        try:
-            return cast(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {name!r}: {value!r}") from exc
+def _pole(text):
+    """A cap pole: (False, ambient coordinates) or, for `image:x,...`, (True, x)."""
+    if not text:
+        return None  # an empty value selects the command's default pole
+    image = text.startswith("image:")
+    return image, _floats(text[len("image:") :] if image else text)
 
 
 def _load_config(path):
     parser = configparser.ConfigParser()
-    if path is None:
-        return parser
     try:
         loaded = parser.read(path)
     except configparser.Error as exc:
@@ -113,12 +94,6 @@ def _load_config(path):
     if not loaded:
         raise ConfigError(f"cannot read config file: {path}")
     return parser
-
-
-def _last_axis(ambient):
-    pole = np.zeros(ambient)
-    pole[-1] = 1.0
-    return pole
 
 
 def _unit_from(values, ambient, what):
@@ -131,12 +106,13 @@ def _unit_from(values, ambient, what):
     return vec / norm
 
 
-def _cap_pole(raw, n, ambient):
-    """Cap pole from raw image-space coordinates, or `image:<sphere coords>`."""
-    if raw.startswith("image:"):
-        base = _unit_from(_floats(raw[len("image:") :]), n + 1, "pole base point")
+def _cap_pole(pole, n):
+    """A parsed --pole as a unit vector on the sphere holding the Veronese image."""
+    image, values = pole
+    if image:
+        base = _unit_from(values, n + 1, "pole base point")
         return veronese.veronese_apply(n, base[None])[0]
-    return _unit_from(_floats(raw), ambient, "pole")
+    return _unit_from(values, veronese.output_dim(n), "pole")
 
 
 def _status(flag):
@@ -146,22 +122,15 @@ def _status(flag):
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_veronese_check(opts):
-    dims = opts.get("dims", _ints, list(range(1, 9)))
-    samples = opts.get("samples", int, 200)
-    seed = opts.get("seed", int, 0)
-    norm_tol = opts.get("norm-tol", float, 1e-12)
-    gram_tol = opts.get("gram-tol", float, 1e-10)
-    rng = np.random.default_rng(seed)
+def cmd_veronese_check(args):
+    rng = np.random.default_rng(args.seed)
     rows = []
-    for n in dims:
-        pts = rng.standard_normal((samples, n + 1))
+    for n in args.dims:
+        pts = rng.standard_normal((args.samples, n + 1))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         images = veronese.veronese_apply(n, pts)
         norm_dev = float(np.max(np.abs(np.linalg.norm(images, axis=1) - 1.0)))
-        even_dev = float(
-            np.max(np.abs(veronese.veronese_apply(n, -pts) - images))
-        )
+        even_dev = float(np.max(np.abs(veronese.veronese_apply(n, -pts) - images)))
         cst = veronese.constants(n)
         jac = veronese.veronese_jacobian(n, pts)
         gram = np.einsum("kmi,kmj->kij", jac, jac)
@@ -169,11 +138,13 @@ def cmd_veronese_check(opts):
             cst.radial_coeff**2
         ) * np.einsum("ki,kj->kij", pts, pts)
         gram_dev = float(np.max(np.abs(gram - expected)))
-        passed = norm_dev <= norm_tol and gram_dev <= gram_tol and even_dev <= norm_tol
+        passed = (
+            norm_dev <= args.norm_tol and gram_dev <= args.gram_tol and even_dev <= args.norm_tol
+        )
         rows.append(
             {
                 "dim": n,
-                "samples": samples,
+                "samples": args.samples,
                 "norm_dev": norm_dev,
                 "gram_dev": gram_dev,
                 "even_dev": even_dev,
@@ -187,23 +158,21 @@ def cmd_veronese_check(opts):
     ok = all(r["passed"] for r in rows)
     payload = {
         "command": "veronese-check",
-        "seed": seed,
-        "norm_tol": norm_tol,
-        "gram_tol": gram_tol,
+        "seed": args.seed,
+        "norm_tol": args.norm_tol,
+        "gram_tol": args.gram_tol,
         "rows": rows,
         "passed": ok,
     }
     return (0 if ok else 1), payload, rows
 
 
-def cmd_spectrum(opts):
-    n = opts.get("dim", int, 2)
-    factor = spectral.parse_factor(opts.get("factor", str, "round"), n)
-    degree = opts.get("degree", int, None)
-    count = opts.get("count", int, 8)
-    if opts.get("normalize", _to_bool, False):
+def cmd_spectrum(args):
+    n = args.dim
+    factor = spectral.parse_factor(args.factor, n)
+    if args.normalize:
         factor = spectral.normalize_volume(factor)
-    result = spectral.eigenvalues(factor, degree, count=count)
+    result = spectral.eigenvalues(factor, args.degree, count=args.count)
     clusters = spectral.cluster_eigenvalues(result.eigenvalues)
     rows = [
         {"index": i, "eigenvalue": float(v)}
@@ -223,12 +192,10 @@ def cmd_spectrum(opts):
     return 0, payload, rows
 
 
-def cmd_theorem_check(opts):
-    n = opts.get("dim", int, 2)
-    factor = spectral.parse_factor(opts.get("factor", str, "round"), n)
-    degree = opts.get("degree", int, None)
-    gap = opts.get("gap", _to_bool, False)
-    report = trial_bound.theorem_check(factor, basis_degree=degree, include_gap=gap)
+def cmd_theorem_check(args):
+    n = args.dim
+    factor = spectral.parse_factor(args.factor, n)
+    report = trial_bound.theorem_check(factor, basis_degree=args.degree, include_gap=args.gap)
     print(
         f"[{_status(report.passed)}] lambda_2 = {report.lambda_2:.8f} "
         f"< bound {report.bound:.8f} (margin {report.margin:.3e})"
@@ -249,16 +216,11 @@ def cmd_theorem_check(opts):
     return (0 if report.passed else 1), payload, [row]
 
 
-def cmd_rayleigh_chain(opts):
-    n = opts.get("dim", int, 2)
-    factor = spectral.parse_factor(opts.get("factor", str, "round"), n)
-    ambient = veronese.output_dim(n)
-    raw_pole = opts.get("pole", str, None)
-    pole = _cap_pole(raw_pole, n, ambient) if raw_pole else _last_axis(ambient)
-    t = opts.get("t", float, 0.5)
-    fd_step = opts.get("fd-step", float, 1e-5)
-    cap = SphericalCap(pole, t)
-    report = trial_bound.rayleigh_chain(factor, cap, fd_step=fd_step)
+def cmd_rayleigh_chain(args):
+    n = args.dim
+    factor = spectral.parse_factor(args.factor, n)
+    pole = _cap_pole(args.pole, n) if args.pole else np.eye(veronese.output_dim(n))[-1]
+    report = trial_bound.rayleigh_chain(factor, SphericalCap(pole, args.t))
     rows = [
         {
             "stage": s.stage_id,
@@ -290,34 +252,22 @@ def cmd_rayleigh_chain(opts):
     return (0 if report.passed else 1), payload, rows
 
 
-def cmd_com_solve(opts):
-    shift_values = opts.get("shift", _floats, None)
-    tol = opts.get("tol", float, 1e-10)
-    max_iter = opts.get("max-iter", int, 500)
-    seed = opts.get("seed", int, 0)
-    if shift_values is not None:
-        ambient = opts.get("ambient", int, len(shift_values))
-        shift = np.asarray(shift_values, dtype=float)
-        if shift.shape != (ambient,):
-            raise ConfigError(f"shift needs {ambient} components")
-        pairs = opts.get("pairs", int, 128)
-        measure = trial_bound.moebius_shifted_uniform(ambient, shift, pairs, seed)
+def cmd_com_solve(args):
+    if args.shift is not None:
+        shift = np.asarray(args.shift, dtype=float)
+        measure = trial_bound.moebius_shifted_uniform(shift.size, shift, args.pairs, args.seed)
         expected = shift
-        label = f"synthetic cloud ({pairs} antipodal pairs)"
+        label = f"synthetic cloud ({args.pairs} antipodal pairs)"
     else:
-        n = opts.get("dim", int, 2)
-        factor = spectral.parse_factor(opts.get("factor", str, "round"), n)
-        ambient = veronese.output_dim(n)
-        raw_pole = opts.get("pole", str, None) or ("image:1" + ",0" * n)
-        pole = _cap_pole(raw_pole, n, ambient)
-        t = opts.get("t", float, 0.5)
-        rule = build_sphere_rule(n, opts.get("degree", int, 12))
+        n = args.dim
+        factor = spectral.parse_factor(args.factor, n)
+        pole = _cap_pole(args.pole or _pole("image:1" + ",0" * n), n)
         measure = trial_bound.pushforward_measure(
-            factor, SphericalCap(pole, t), rule=rule
+            factor, SphericalCap(pole, args.t), rule=build_sphere_rule(n, args.degree)
         )
         expected = None
-        label = f"pushforward of {factor.label} (t = {t})"
-    result = trial_bound.center_of_mass(measure, tol=tol, max_iter=max_iter)
+        label = f"pushforward of {factor.label} (t = {args.t})"
+    result = trial_bound.center_of_mass(measure, tol=args.tol, max_iter=args.max_iter)
     print(f"center of mass of {label}:")
     print(f"  center   {np.array2string(result.center, precision=10)}")
     print(
@@ -346,27 +296,20 @@ def cmd_com_solve(opts):
     return 0, payload, [row]
 
 
-def cmd_vfield_search(opts):
-    n = opts.get("dim", int, 2)
-    factor = spectral.parse_factor(opts.get("factor", str, "round"), n)
-    starts = opts.get("starts", int, 8)
-    seed = opts.get("seed", int, 0)
-    maxiter = opts.get("maxiter", int, 250)
-    t_max = opts.get("t-max", float, 0.999)
-    degree = opts.get("degree", int, None)
-    threshold = opts.get("threshold", float, 1e-3)
+def cmd_vfield_search(args):
+    factor = spectral.parse_factor(args.factor, args.dim)
     result = trial_bound.search_vector_field_zero(
         factor,
-        basis_degree=degree,
-        starts=starts,
-        seed=seed,
-        t_max=t_max,
-        maxiter=maxiter,
+        basis_degree=args.degree,
+        starts=args.starts,
+        seed=args.seed,
+        t_max=args.t_max,
+        maxiter=args.maxiter,
     )
-    meets = bool(result.residual <= threshold)
+    meets = bool(result.residual <= args.threshold)
     print(
         f"[{_status(meets)}] best residual {result.residual:.3e} of mass "
-        f"{result.mass:.6f} (threshold {threshold:g}) after {result.evaluations} "
+        f"{result.mass:.6f} (threshold {args.threshold:g}) after {result.evaluations} "
         "evaluations"
     )
     print(f"  t = {result.t:.6f}, pole = {np.array2string(result.pole, precision=6)}")
@@ -376,7 +319,7 @@ def cmd_vfield_search(opts):
     ]
     payload = {
         "command": "vfield-search",
-        "dim": n,
+        "dim": args.dim,
         "factor": factor.label,
         "pole": jsonable(result.pole),
         "t": result.t,
@@ -384,30 +327,27 @@ def cmd_vfield_search(opts):
         "residual": result.residual,
         "mass": result.mass,
         "evaluations": result.evaluations,
-        "threshold": threshold,
+        "threshold": args.threshold,
         "meets_threshold": meets,
         "trace_tail": [float(v) for v in result.trace[-20:]],
     }
-    return 0, payload, rows
+    return (0 if meets else 1), payload, rows
 
 
-def cmd_degree(opts):
-    name = opts.get("map", str, "identity-s3")
+def cmd_degree(args):
     maps = degree_lab.registry()
-    if name not in maps:
-        raise ConfigError(f"unknown map {name!r}; known: {', '.join(sorted(maps))}")
-    sphere_map = maps[name]
-    method = opts.get("method", str, "both")
+    if args.map not in maps:
+        raise ConfigError(f"unknown map {args.map!r}; known: {', '.join(sorted(maps))}")
+    sphere_map = maps[args.map]
+    method = args.method
     if method not in {"both", "integral", "regular-value"}:
         raise ConfigError(f"unknown method {method!r}")
-    seed = opts.get("seed", int, 0)
-    paired = opts.get("paired", _to_bool, False)
 
     results = {}
     if method in {"both", "integral"}:
         results["integral"] = degree_lab.degree_integral(sphere_map)
     if method in {"both", "regular-value"}:
-        results["regular-value"] = degree_lab.degree_regular_value(sphere_map, seed=seed)
+        results["regular-value"] = degree_lab.degree_regular_value(sphere_map, seed=args.seed)
     degrees = {k: r.degree for k, r in results.items()}
     agree = len(set(degrees.values())) == 1
     for key, res in results.items():
@@ -421,7 +361,7 @@ def cmd_degree(opts):
     symmetry = None
     if sphere_map.dim % 2 == 1 and sphere_map.dim >= 3:
         half = (sphere_map.dim - 1) // 2
-        report = degree_lab.reflection_symmetry_check(sphere_map, half, seed=seed)
+        report = degree_lab.reflection_symmetry_check(sphere_map, half, seed=args.seed)
         symmetry = jsonable(report)
         print(
             f"block-reflection symmetry: {_status(report.passes)} "
@@ -431,11 +371,11 @@ def cmd_degree(opts):
 
     paired_ok = True
     paired_payload = None
-    if paired:
+    if args.paired:
         paired_payload = []
         for builder in (degree_lab.shifted_identity_example, degree_lab.zero_free_example):
             func, region, expected = builder()
-            report = degree_lab.paired_degree_check(func, region, 1, seed=seed)
+            report = degree_lab.paired_degree_check(func, region, 1, seed=args.seed)
             ok = report.holds and report.degree_minus == expected
             paired_ok = paired_ok and ok
             paired_payload.append(
@@ -492,88 +432,65 @@ def _fold_surface(kind, pole):
     raise ConfigError(f"unknown surface {kind!r}")
 
 
-def cmd_limits_fold(opts):
-    kind = opts.get("surface", str, "half-circle")
-    if kind == "veronese-patch":
+def _limit_report(args, surface, limit_rows, parameter):
+    """Print and package the rows of a limit-volume table over `parameter`."""
+    rows = [jsonable(r) for r in limit_rows]
+    for row in rows:
+        print(
+            f"[{_status(row['within_bound'])}] {parameter} = {row['parameter']:<7g} "
+            f"volume {row['volume']:.8f}  bound {row['bound']:.8f}"
+        )
+    ok = all(r["within_bound"] for r in rows)
+    payload = {
+        "command": args.command,
+        "surface": surface.name,
+        "band": args.band,
+        "rows": rows,
+        "passed": ok,
+    }
+    return (0 if ok else 1), payload, rows
+
+
+def cmd_limits_fold(args):
+    if args.surface == "veronese-patch":
         ambient = veronese.output_dim(2)
         default_pole = veronese.veronese_apply(2, np.eye(3)[0][None])[0]
     else:
         ambient = 3
-        default_pole = _last_axis(ambient)
-    pole_values = opts.get("pole", _floats, None)
-    pole = (
-        default_pole
-        if pole_values is None
-        else _unit_from(pole_values, ambient, "pole")
-    )
-    surface = _fold_surface(kind, pole)
-    default_ts = "0,0.5,0.9,0.99,0.999" if surface.param_dim == 1 else "0,0.3,0.6,0.9"
-    t_values = opts.get("t-values", _floats, _floats(default_ts))
-    band = opts.get("band", float, 0.02)
-    rows_data = degen_limits.fold_limit_volume(surface, pole, t_values, band=band)
-    rows = [jsonable(r) for r in rows_data]
-    for row in rows:
-        print(
-            f"[{_status(row['within_bound'])}] t = {row['parameter']:<7g} "
-            f"volume {row['volume']:.8f}  bound {row['bound']:.8f}"
-        )
-    ok = all(r["within_bound"] for r in rows)
-    payload = {
-        "command": "limits-fold",
-        "surface": surface.name,
-        "band": band,
-        "rows": rows,
-        "passed": ok,
-    }
-    return (0 if ok else 1), payload, rows
+        default_pole = np.eye(ambient)[-1]
+    pole = default_pole if args.pole is None else _unit_from(args.pole, ambient, "pole")
+    surface = _fold_surface(args.surface, pole)
+    t_values = args.t_values
+    if t_values is None:
+        t_values = [0.0, 0.5, 0.9, 0.99, 0.999] if surface.param_dim == 1 else [0.0, 0.3, 0.6, 0.9]
+    limit_rows = degen_limits.fold_limit_volume(surface, pole, t_values, band=args.band)
+    return _limit_report(args, surface, limit_rows, "t")
 
 
-def cmd_limits_moebius(opts):
-    kind = opts.get("surface", str, "full-circle")
-    direction_values = opts.get("direction", _floats, None)
-    direction = (
-        _last_axis(3)
-        if direction_values is None
-        else _unit_from(direction_values, 3, "direction")
-    )
-    radii = opts.get("radii", _floats, _floats("0.5,0.9,0.99,0.999"))
-    band = opts.get("band", float, 0.02)
-    if kind == "full-circle":
+def cmd_limits_moebius(args):
+    direction = np.eye(3)[-1]
+    if args.direction is not None:
+        direction = _unit_from(args.direction, 3, "direction")
+    if args.surface == "full-circle":
         surface = degen_limits.circle_arc(
-            -direction, _orth_direction(direction), (-math.pi, math.pi), name=kind
+            -direction, _orth_direction(direction), (-math.pi, math.pi), name=args.surface
         )
-    elif kind == "avoiding-arc":
+    elif args.surface == "avoiding-arc":
         surface = degen_limits.circle_arc(
             direction,
             _orth_direction(direction),
             (-0.25 * math.pi, 0.25 * math.pi),
-            name=kind,
+            name=args.surface,
         )
     else:
-        raise ConfigError(f"unknown surface {kind!r}")
-    ball_points = [r * direction for r in radii]
-    rows_data = degen_limits.moebius_limit_volume(surface, ball_points, band=band)
-    rows = [jsonable(r) for r in rows_data]
-    for row in rows:
-        print(
-            f"[{_status(row['within_bound'])}] |x| = {row['parameter']:<7g} "
-            f"volume {row['volume']:.8f}  bound {row['bound']:.8f}"
-        )
-    ok = all(r["within_bound"] for r in rows)
-    payload = {
-        "command": "limits-moebius",
-        "surface": surface.name,
-        "band": band,
-        "rows": rows,
-        "passed": ok,
-    }
-    return (0 if ok else 1), payload, rows
+        raise ConfigError(f"unknown surface {args.surface!r}")
+    ball_points = [r * direction for r in args.radii]
+    limit_rows = degen_limits.moebius_limit_volume(surface, ball_points, band=args.band)
+    return _limit_report(args, surface, limit_rows, "|x|")
 
 
-def cmd_ratio_table(opts):
-    n_min = opts.get("n-min", int, 2)
-    n_max = opts.get("n-max", int, 16)
-    pairs = bounds.ratio_table(n_max, n_min=n_min)
+def cmd_ratio_table(args):
+    pairs = bounds.ratio_table(args.n_max, n_min=args.n_min)
     rows = []
     ok = True
     for pair in pairs:
@@ -593,7 +510,7 @@ def cmd_ratio_table(opts):
             f"[{_status(sane)}] n = {pair.dim:<3d} tight {pair.tight:.10f}  "
             f"coarse {pair.coarse:.10f}  ratio {pair.ratio:.10f}"
         )
-    if n_min <= 2 <= n_max:
+    if args.n_min <= 2 <= args.n_max:
         two = next(p for p in pairs if p.dim == 2)
         exact = abs(two.tight - 10.0) < 1e-12 and abs(two.coarse - 12.0) < 1e-12
         ok = ok and exact
@@ -602,135 +519,142 @@ def cmd_ratio_table(opts):
     return (0 if ok else 1), payload, rows
 
 
-COMMANDS = {
-    "veronese-check": cmd_veronese_check,
-    "spectrum": cmd_spectrum,
-    "theorem-check": cmd_theorem_check,
-    "rayleigh-chain": cmd_rayleigh_chain,
-    "com-solve": cmd_com_solve,
-    "vfield-search": cmd_vfield_search,
-    "degree": cmd_degree,
-    "limits-fold": cmd_limits_fold,
-    "limits-moebius": cmd_limits_moebius,
-    "ratio-table": cmd_ratio_table,
-}
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file ([defaults] + per-command sections)")
-    sub.add_argument("--json", help="write a detailed JSON report to this path")
-    sub.add_argument("--csv", help="write summary rows as CSV to this path")
-
-
 def build_parser():
+    """The `rplap` parser, and its subcommand parsers by name.
+
+    Every option is declared once, with its type and default; a string
+    default goes through `type` like a flag value, so config values that
+    become defaults are parsed and checked the same way.
+    """
     parser = argparse.ArgumentParser(
         prog="rplap",
         description="Spectral bounds and conformal-geometry experiments on projective spaces.",
+        exit_on_error=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("veronese-check", help="verify the quadratic-map identities")
-    _add_common(sub)
-    sub.add_argument("--dims", help="dimensions, e.g. '1-8' or '2,3'")
-    sub.add_argument("--samples", help="random sample count per dimension")
-    sub.add_argument("--seed")
-    sub.add_argument("--norm-tol")
-    sub.add_argument("--gram-tol")
+    def command(name, run, help):
+        sub = subs.add_parser(name, help=help, exit_on_error=False)
+        sub.set_defaults(run=run)
+        sub.add_argument("--config", help="INI config file ([defaults] + per-command sections)")
+        sub.add_argument("--json", help="write a detailed JSON report to this path")
+        sub.add_argument("--csv", help="write summary rows as CSV to this path")
+        return sub
 
-    sub = subs.add_parser("spectrum", help="Galerkin spectrum of a conformal metric")
-    _add_common(sub)
-    sub.add_argument("--dim")
-    sub.add_argument("--factor", help="round | const:V | zonal:EPS | exp:d,i,c;...")
-    sub.add_argument("--degree", help="harmonic basis degree cutoff")
-    sub.add_argument("--count", help="number of eigenvalues to report")
-    sub.add_argument("--normalize", help="volume-normalize the metric first (bool)")
+    def metric(sub):
+        sub.add_argument("--dim", type=int, default=2, help="sphere dimension n")
+        sub.add_argument(
+            "--factor", default="round", help="round | const:V | zonal:EPS | exp:d,i,c;..."
+        )
 
-    sub = subs.add_parser("theorem-check", help="check the second-eigenvalue bound")
-    _add_common(sub)
-    sub.add_argument("--dim")
-    sub.add_argument("--factor")
-    sub.add_argument("--degree")
-    sub.add_argument("--gap", help="also report the basis-refinement shift (bool)")
+    sub = command("veronese-check", cmd_veronese_check, "verify the quadratic-map identities")
+    sub.add_argument("--dims", type=_ints, default="1-8", help="dimensions, e.g. '1-8' or '2,3'")
+    sub.add_argument("--samples", type=int, default=200, help="random sample count per dimension")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--norm-tol", type=float, default=1e-12)
+    sub.add_argument("--gram-tol", type=float, default=1e-10)
 
-    sub = subs.add_parser("rayleigh-chain", help="verify the trial-map energy chain")
-    _add_common(sub)
-    sub.add_argument("--dim")
-    sub.add_argument("--factor")
+    sub = command("spectrum", cmd_spectrum, "Galerkin spectrum of a conformal metric")
+    metric(sub)
+    sub.add_argument("--degree", type=int, help="harmonic basis degree cutoff")
+    sub.add_argument("--count", type=int, default=8, help="number of eigenvalues to report")
     sub.add_argument(
-        "--pole",
-        help="cap pole: ambient comma floats, or image:<sphere coords>",
+        "--normalize", type=_to_bool, default=False, help="volume-normalize the metric first"
     )
-    sub.add_argument("--t", help="cap parameter in [0, 1)")
-    sub.add_argument("--fd-step")
 
-    sub = subs.add_parser("com-solve", help="hyperbolic center of mass of a measure")
-    _add_common(sub)
-    sub.add_argument("--shift", help="synthetic mode: exact center (comma floats)")
-    sub.add_argument("--ambient", help="synthetic mode: ambient dimension")
-    sub.add_argument("--pairs", help="synthetic mode: number of antipodal pairs")
-    sub.add_argument("--dim", help="pushforward mode: sphere dimension")
-    sub.add_argument("--factor")
-    sub.add_argument("--pole")
-    sub.add_argument("--t")
-    sub.add_argument("--degree", help="pushforward mode: quadrature exactness")
-    sub.add_argument("--tol")
-    sub.add_argument("--max-iter")
-    sub.add_argument("--seed")
+    sub = command("theorem-check", cmd_theorem_check, "check the second-eigenvalue bound")
+    metric(sub)
+    sub.add_argument("--degree", type=int, help="harmonic basis degree cutoff")
+    sub.add_argument(
+        "--gap", type=_to_bool, default=False, help="also report the basis-refinement shift"
+    )
 
-    sub = subs.add_parser("vfield-search", help="minimize the obstruction field over caps")
-    _add_common(sub)
-    sub.add_argument("--dim")
-    sub.add_argument("--factor")
-    sub.add_argument("--starts", help="best slice-grid cells, polished together by Gauss-Newton")
-    sub.add_argument("--seed")
-    sub.add_argument("--maxiter", help="cap on the polish's Gauss-Newton rounds")
-    sub.add_argument("--t-max")
-    sub.add_argument("--degree")
-    sub.add_argument("--threshold")
+    sub = command("rayleigh-chain", cmd_rayleigh_chain, "verify the trial-map energy chain")
+    metric(sub)
+    sub.add_argument(
+        "--pole", type=_pole, help="cap pole: ambient comma floats, or image:<sphere coords>"
+    )
+    sub.add_argument("--t", type=float, default=0.5, help="cap parameter in [0, 1)")
 
-    sub = subs.add_parser("degree", help="degree of a named sphere self-map")
-    _add_common(sub)
-    sub.add_argument("--map", help="map name (see docs); default identity-s3")
-    sub.add_argument("--method", help="integral | regular-value | both")
-    sub.add_argument("--seed")
-    sub.add_argument("--paired", help="also run the paired box-degree examples (bool)")
+    sub = command("com-solve", cmd_com_solve, "hyperbolic center of mass of a measure")
+    sub.add_argument("--shift", type=_floats, help="synthetic mode: exact center (comma floats)")
+    sub.add_argument("--pairs", type=int, default=128, help="synthetic mode: antipodal pairs")
+    metric(sub)
+    sub.add_argument("--pole", type=_pole, help="pushforward mode: cap pole, as for rayleigh-chain")
+    sub.add_argument("--t", type=float, default=0.5, help="pushforward mode: cap parameter")
+    sub.add_argument("--degree", type=int, default=12, help="pushforward mode: rule exactness")
+    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--max-iter", type=int, default=500)
+    sub.add_argument("--seed", type=int, default=0)
 
-    sub = subs.add_parser("limits-fold", help="fold volumes against the collapse bound")
-    _add_common(sub)
-    sub.add_argument("--surface", help="half-circle | quarter-arc | veronese-patch | cap-patch")
-    sub.add_argument("--pole")
-    sub.add_argument("--t-values", help="comma-separated cap parameters")
-    sub.add_argument("--band", help="relative slack on the bound")
+    sub = command("vfield-search", cmd_vfield_search, "minimize the obstruction field over caps")
+    metric(sub)
+    sub.add_argument(
+        "--starts", type=int, default=8, help="best slice-grid cells, polished by Gauss-Newton"
+    )
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--maxiter", type=int, default=250, help="cap on the polish's rounds")
+    sub.add_argument("--t-max", type=float, default=0.999)
+    sub.add_argument("--degree", type=int, help="harmonic basis degree cutoff")
+    sub.add_argument(
+        "--threshold", type=float, default=1e-3, help="largest passing |V| / mass (else exit 1)"
+    )
 
-    sub = subs.add_parser("limits-moebius", help="Moebius volumes against the collapse bound")
-    _add_common(sub)
-    sub.add_argument("--surface", help="full-circle | avoiding-arc")
-    sub.add_argument("--direction", help="collapse direction (comma floats)")
-    sub.add_argument("--radii", help="comma-separated |x| values")
-    sub.add_argument("--band")
+    sub = command("degree", cmd_degree, "degree of a named sphere self-map")
+    sub.add_argument("--map", default="identity-s3", help="map name (see docs)")
+    sub.add_argument("--method", default="both", help="integral | regular-value | both")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--paired", type=_to_bool, default=False, help="also run the paired box-degree examples"
+    )
 
-    sub = subs.add_parser("ratio-table", help="tight/coarse constant table over dimensions")
-    _add_common(sub)
-    sub.add_argument("--n-min")
-    sub.add_argument("--n-max")
+    sub = command("limits-fold", cmd_limits_fold, "fold volumes against the collapse bound")
+    sub.add_argument(
+        "--surface",
+        default="half-circle",
+        help="half-circle | quarter-arc | veronese-patch | cap-patch",
+    )
+    sub.add_argument("--pole", type=_floats, help="fold pole (comma floats)")
+    sub.add_argument("--t-values", type=_floats, help="comma-separated cap parameters")
+    sub.add_argument("--band", type=float, default=0.02, help="relative slack on the bound")
 
-    return parser
+    sub = command(
+        "limits-moebius", cmd_limits_moebius, "Moebius volumes against the collapse bound"
+    )
+    sub.add_argument("--surface", default="full-circle", help="full-circle | avoiding-arc")
+    sub.add_argument("--direction", type=_floats, help="collapse direction (comma floats)")
+    sub.add_argument(
+        "--radii", type=_floats, default="0.5,0.9,0.99,0.999", help="comma-separated |x| values"
+    )
+    sub.add_argument("--band", type=float, default=0.02, help="relative slack on the bound")
+
+    sub = command("ratio-table", cmd_ratio_table, "tight/coarse constant table over dimensions")
+    sub.add_argument("--n-min", type=int, default=2)
+    sub.add_argument("--n-max", type=int, default=16)
+
+    return parser, subs.choices
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
     try:
-        config = _load_config(args.config)
-        opts = Options(args, config, args.command)
-        code, payload, rows = COMMANDS[args.command](opts)
-        json_path = opts.get("json", str, None)
-        csv_path = opts.get("csv", str, None)
-        if json_path:
-            write_json(json_path, payload)
-        if csv_path:
-            write_csv(csv_path, rows)
-    except (ConfigError, DomainError) as exc:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # [defaults], then the command's section, become the command's
+            # option defaults: flags still win, and argparse parses the values
+            config = _load_config(args.config)
+            options = vars(args).keys() - {"command", "run"}
+            for section in ("defaults", args.command):
+                if config.has_section(section):
+                    items = ((k.replace("-", "_"), v) for k, v in config.items(section))
+                    commands[args.command].set_defaults(**{k: v for k, v in items if k in options})
+            args = parser.parse_args(argv)
+        code, payload, rows = args.run(args)
+        if args.json:
+            write_json(args.json, payload)
+        if args.csv:
+            write_csv(args.csv, rows)
+    except (argparse.ArgumentError, ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:

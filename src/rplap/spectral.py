@@ -176,11 +176,18 @@ def parse_factor(text, n):
     raise ConfigError(f"unknown conformal factor spec {text!r}")
 
 
+def _basis_degree(n, basis_degree):
+    """basis_degree, or if None the default for dimension n (DomainError unless 2 or 3)."""
+    if basis_degree is not None:
+        return basis_degree
+    if n not in DEFAULT_BASIS_DEGREE:
+        raise DomainError(f"no default basis degree for dimension {n}; supported: 2, 3")
+    return DEFAULT_BASIS_DEGREE[n]
+
+
 def default_rule(n, basis_degree=None):
     """Assembly quadrature: exact through twice the basis degree plus _RULE_MARGIN."""
-    if basis_degree is None:
-        basis_degree = DEFAULT_BASIS_DEGREE[n]
-    return build_sphere_rule(n, 2 * basis_degree + _RULE_MARGIN)
+    return build_sphere_rule(n, 2 * _basis_degree(n, basis_degree) + _RULE_MARGIN)
 
 
 def _projective_weights(w, rule):
@@ -231,8 +238,7 @@ def assemble_matrices(w, basis_degree=None, rule=None):
     must come out positive definite or assembly fails.
     """
     n = w.sphere_dim
-    if basis_degree is None:
-        basis_degree = DEFAULT_BASIS_DEGREE[n]
+    basis_degree = _basis_degree(n, basis_degree)
     if basis_degree < 2 or basis_degree % 2:
         raise DomainError(f"basis degree must be even and >= 2, got {basis_degree}")
     if rule is None:
@@ -288,6 +294,8 @@ def eigenvalues(w, basis_degree=None, count=None, rule=None):
     Returns an EigenResult with the `count` smallest eigenvalues (all by
     default), ascending, repeated by multiplicity.
     """
+    if count is not None and count < 1:
+        raise DomainError(f"eigenvalue count must be >= 1, got {count}")
     stiffness, mass, base, rule = assemble_matrices(w, basis_degree, rule)
     try:
         vals, vecs = scipy.linalg.eigh(stiffness, mass)

@@ -349,8 +349,6 @@ def _principal_slice_basis(w, f, rule, seed=0):
 
 def search_vector_field_zero(
     w,
-    f=None,
-    rule=None,
     basis_degree=None,
     starts=32,
     seed=0,
@@ -359,8 +357,8 @@ def search_vector_field_zero(
 ):
     """Zero of V(pole, t): slice-grid scan, then lockstep Gauss-Newton.
 
-    w is volume-normalized first; f defaults to the first excited
-    eigenfunction of the metric.  All cells of a grid over t and over poles in
+    w is volume-normalized first, on a rule exact to degree 12, and f is its
+    first excited eigenfunction.  All cells of a grid over t and over poles in
     the principal slice of f's quadratic part (where the field is tangent to
     the slice) are evaluated in one batch.  The `starts` best cells are then
     polished together by damped Gauss-Newton on V / mass over the pole's
@@ -372,12 +370,9 @@ def search_vector_field_zero(
     center, so the centering tolerance SEARCH_COM_TOL sits below the
     polish's target.
     """
-    n = w.sphere_dim
-    if rule is None:
-        rule = build_sphere_rule(n, 12)
+    rule = build_sphere_rule(w.sphere_dim, 12)
     w = spectral.normalize_volume(w, rule=rule)
-    if f is None:
-        f = spectral.first_excited_state(spectral.eigenvalues(w, basis_degree))
+    f = spectral.first_excited_state(spectral.eigenvalues(w, basis_degree))
     ws = _FieldWorkspace(w, rule, f=f)
     t_cap = min(t_max, 0.999)
     trace = []
@@ -508,7 +503,10 @@ def _eq_stage(stage_id, lhs, rhs, rel_tol):
     )
 
 
-def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
+CHAIN_FD_STEP = 1e-5  # central-difference step of the chain's finite-difference route
+
+
+def rayleigh_chain(w, cap, center=None, rule=None):
     """Verify the energy chain bounding the trial maps' Rayleigh quotients.
 
     Numerators and the n-energy are computed twice: by finite differences
@@ -558,7 +556,7 @@ def rayleigh_chain(w, cap, center=None, rule=None, fd_step=1e-5):
 
     # one call per direction: all 2n probe sets at once hold n times the memory
     cols = [
-        _central_differences(centered_branch, images, directions[:, :, [j]], fd_step, True)
+        _central_differences(centered_branch, images, directions[:, :, [j]], CHAIN_FD_STEP, True)
         for j in range(n)
     ]
     deriv = np.concatenate(cols, axis=-1) * v_norm[:, None, :]  # (N, m, n)
@@ -672,8 +670,7 @@ def theorem_check(w, basis_degree=None, rule=None, include_gap=False):
     of lambda_2 when the basis degree grows by 2 (convergence diagnostic).
     """
     n = w.sphere_dim
-    if basis_degree is None:
-        basis_degree = spectral.DEFAULT_BASIS_DEGREE[n]
+    basis_degree = spectral._basis_degree(n, basis_degree)
     if rule is None:
         rule = spectral.default_rule(n, basis_degree)
     normalized = spectral.normalize_volume(w, rule=rule)

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -101,6 +104,34 @@ def test_com_solve_near_the_sphere_is_never_a_configuration_error(capsys):
     assert "configuration error" not in err
 
 
+def test_vfield_search_below_threshold_exits_1(capsys, tmp_path):
+    json_path = tmp_path / "vf.json"
+    code, out, _ = run(
+        capsys,
+        "vfield-search", "--dim", "2", "--factor", "zonal:0.5", "--starts", "1",
+        "--maxiter", "0", "--threshold", "1e-30", "--json", str(json_path),
+    )
+    assert code == 1
+    assert out.startswith("[FAIL] best residual")
+    assert json.loads(json_path.read_text())["meets_threshold"] is False
+
+
+@pytest.mark.parametrize("command", ["spectrum", "theorem-check"])
+@pytest.mark.parametrize("dim", ["1", "4"])
+def test_unsupported_dimension_is_a_config_error(capsys, command, dim):
+    code, _, err = run(capsys, command, "--dim", dim)
+    assert code == 2
+    assert err.startswith("configuration error") and "dimension" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_nonpositive_count_is_a_config_error(capsys, count):
+    code, out, err = run(capsys, "spectrum", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert "count" in err
+
+
 def test_com_solve_pushforward_mode(capsys):
     code, out, _ = run(capsys, "com-solve", "--dim", "2", "--factor", "round", "--t", "0.4")
     assert code == 0
@@ -173,6 +204,46 @@ def test_config_file_layering(capsys, tmp_path):
     code, out, _ = run(capsys, "spectrum", "--config", str(config), "--dim", "2")
     assert code == 0
     assert "dimension 2" in out
+
+
+def test_seed_layering_defaults_section_flag(capsys, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[defaults]\nseed = 3\ndims = 2\nsamples = 10\n")
+    json_path = tmp_path / "report.json"
+    base = ["veronese-check", "--config", str(config), "--json", str(json_path)]
+
+    def seed(*flags):
+        assert run(capsys, *base, *flags)[0] == 0
+        return json.loads(json_path.read_text())["seed"]
+
+    assert seed() == 3
+    config.write_text(config.read_text() + "\n[veronese-check]\nseed = 5\n")
+    assert seed() == 5
+    assert seed("--seed", "7") == 7
+
+
+def test_bad_config_value_names_the_flag(capsys, tmp_path):
+    config = tmp_path / "bad.ini"
+    config.write_text("[spectrum]\ndim = x\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: argument --dim:")
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (tmp_path / "run.ini").write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+    monkeypatch.chdir(tmp_path)
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("rplap ")
+    ]
+    assert len(lines) == 13
+    for line in lines:
+        assert run(capsys, *shlex.split(line, comments=True)[1:])[0] == 0, line
 
 
 def test_missing_config_file(capsys):

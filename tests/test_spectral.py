@@ -199,3 +199,17 @@ def test_projective_sums_match_the_full_sphere_half_weights(n, spec):
 def test_odd_basis_degree_rejected():
     with pytest.raises(DomainError):
         eigenvalues(round_factor(2), basis_degree=5)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_default_basis_degree_only_for_two_and_three(n):
+    with pytest.raises(DomainError, match="dimension"):
+        default_rule(n)
+    with pytest.raises(DomainError, match="dimension"):
+        eigenvalues(round_factor(n))
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_nonpositive_eigenvalue_count_rejected(count):
+    with pytest.raises(DomainError, match="count"):
+        eigenvalues(round_factor(2), count=count)

@@ -50,9 +50,11 @@ def _to_bool(text):
 
 
 def _floats(text):
-    parts = [p.strip() for p in text.replace(";", ",").split(",")]
+    parts = [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"empty number list: {text!r}")
     try:
-        return [float(p) for p in parts if p]
+        return [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 

@@ -6,7 +6,7 @@ outside; the Moebius stretch (1-|x|^2)/(1+|x|^2+2x.s)), integrated on
 parameter rules geometrically refined toward the concentration point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -14,7 +14,9 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import (
     ParamSurface,
+    _chart_density,
     _tensor_rule,
+    _weighted_area,
     graded_interval_rule,
     interval_rule,
     product_rectangle_rule,
@@ -37,9 +39,12 @@ __all__ = [
 GRADED_LEVELS = 26  # refinement levels toward the focus on a one-parameter chart
 GRADED_TENSOR_LEVELS = 14  # per axis of a two-parameter chart, keeping the node count sane
 GRADED_PANEL_POINTS = 12  # Gauss-Legendre points per panel
+CIRCLE_ARC_NODES = 64  # Gauss-Legendre nodes of circle_arc's own rule
+VERONESE_PATCH_NODES = (20, 20)  # (polar, azimuth) nodes of veronese_patch's rule
+CAP_PATCH_NODES = (16, 32)  # (radial, angular) nodes of cap_patch's rule
 
 
-def circle_arc(through, toward, angle_range=(-math.pi, math.pi), count=64, name=""):
+def circle_arc(through, toward, angle_range=(-math.pi, math.pi), name=""):
     """Unit-speed great-circle arc through `through` heading toward `toward`.
 
     The chart is theta -> cos(theta) a + sin(theta) b with a = through and b
@@ -63,7 +68,7 @@ def circle_arc(through, toward, angle_range=(-math.pi, math.pi), count=64, name=
         vel = -np.sin(theta)[:, None] * a + np.cos(theta)[:, None] * b
         return vel[:, :, None]
 
-    nodes, weights = interval_rule(angle_range[0], angle_range[1], count)
+    nodes, weights = interval_rule(angle_range[0], angle_range[1], CIRCLE_ARC_NODES)
     return ParamSurface(
         param_dim=1,
         chart=chart,
@@ -75,7 +80,7 @@ def circle_arc(through, toward, angle_range=(-math.pi, math.pi), count=64, name=
     )
 
 
-def veronese_patch(polar_range, azimuth_range, counts=(20, 20), name="veronese-patch"):
+def veronese_patch(polar_range, azimuth_range, name="veronese-patch"):
     """Veronese image of a (polar, azimuth) rectangle on S^2, as a chart into S^4."""
 
     def sphere_point(params):
@@ -122,7 +127,7 @@ def veronese_patch(polar_range, azimuth_range, counts=(20, 20), name="veronese-p
             axis=-1,
         )
 
-    nodes, weights = product_rectangle_rule(polar_range, azimuth_range, *counts)
+    nodes, weights = product_rectangle_rule(polar_range, azimuth_range, *VERONESE_PATCH_NODES)
     return ParamSurface(
         param_dim=2,
         chart=chart,
@@ -134,7 +139,7 @@ def veronese_patch(polar_range, azimuth_range, counts=(20, 20), name="veronese-p
     )
 
 
-def cap_patch(pole, opening_angle, counts=(16, 32), name="cap-patch"):
+def cap_patch(pole, opening_angle, name="cap-patch"):
     """Geodesic cap around `pole` on S^2 charted over a flat rectangle."""
     pole = as_unit(np.asarray(pole, dtype=float))
     if pole.shape[0] != 3:
@@ -163,7 +168,7 @@ def cap_patch(pole, opening_angle, counts=(16, 32), name="cap-patch"):
         d_angle = np.sin(radial)[:, None] * d_rim
         return np.stack([d_radial, d_angle], axis=-1)
 
-    nodes, weights = product_rectangle_rule((0.0, 1.0), (0.0, 2.0 * math.pi), *counts)
+    nodes, weights = product_rectangle_rule((0.0, 1.0), (0.0, 2.0 * math.pi), *CAP_PATCH_NODES)
     return ParamSurface(
         param_dim=2,
         chart=chart,
@@ -185,16 +190,13 @@ class LimitRow:
 
 
 def _param_box(surface):
-    """Per-axis (lo, hi) parameter bounds, from the stored range or the nodes."""
+    """Per-axis (lo, hi) parameter bounds from the surface's param_range."""
     rng = surface.param_range
-    if rng is not None:
-        if np.ndim(rng[0]) == 0:
-            return [(float(rng[0]), float(rng[1]))]
-        return [(float(lo), float(hi)) for lo, hi in rng]
-    return [
-        (float(np.min(surface.nodes[:, j])), float(np.max(surface.nodes[:, j])))
-        for j in range(surface.param_dim)
-    ]
+    if rng is None:
+        raise DomainError(f"surface {surface.name!r} has no param_range")
+    if np.ndim(rng[0]) == 0:
+        return [(float(rng[0]), float(rng[1]))]
+    return [(float(lo), float(hi)) for lo, hi in rng]
 
 
 def _focus_point(surface, score):
@@ -210,22 +212,36 @@ def _focus_point(surface, score):
     return dense[int(np.argmax(values))]
 
 
-def _graded_nodes(box, focus, levels, panel_points):
-    per_axis = [
-        graded_interval_rule(lo, hi, float(f), levels=levels, panel_points=panel_points)
-        for (lo, hi), f in zip(box, focus)
-    ]
-    return per_axis[0] if len(per_axis) == 1 else _tensor_rule(*per_axis)
+def _limit_rows(surface, table, bound, band):
+    """One LimitRow per (parameter, focus, weight) triple of `table`.
 
-
-def _weighted_volume(surface, weight, focus):
+    Each distinct focus gets a coarse and a fine graded rule, built once with
+    the chart points and area densities at their nodes.  A row's volume is
+    its weighted area on the fine rule; the coarse-fine gap is its error.
+    """
     box = _param_box(surface)
     levels = GRADED_LEVELS if len(box) == 1 else GRADED_TENSOR_LEVELS
-    nodes, weights = _graded_nodes(box, focus, levels, GRADED_PANEL_POINTS)
-    coarse = surface_measure(surface, weight=weight, nodes=nodes, weights=weights)
-    nodes2, weights2 = _graded_nodes(box, focus, levels + 6, GRADED_PANEL_POINTS + 4)
-    fine = surface_measure(surface, weight=weight, nodes=nodes2, weights=weights2)
-    return fine, abs(fine - coarse)
+
+    def graded(focus, depth, panel_points):
+        per_axis = [
+            graded_interval_rule(lo, hi, float(f), levels=depth, panel_points=panel_points)
+            for (lo, hi), f in zip(box, focus)
+        ]
+        ruled = surface.with_rule(*(per_axis[0] if len(box) == 1 else _tensor_rule(*per_axis)))
+        return (ruled, *_chart_density(ruled))
+
+    rules, rows = {}, []
+    for parameter, focus, weight in table:
+        key = tuple(focus)
+        if key not in rules:
+            rules[key] = (
+                graded(focus, levels, GRADED_PANEL_POINTS),
+                graded(focus, levels + 6, GRADED_PANEL_POINTS + 4),
+            )
+        coarse, fine = (_weighted_area(*rule, weight) for rule in rules[key])
+        within = bool(fine <= bound * (1.0 + band))
+        rows.append(LimitRow(parameter, fine, abs(fine - coarse), bound, within))
+    return rows
 
 
 def fold_limit_volume(surface, pole, t_values, band=0.02):
@@ -236,27 +252,11 @@ def fold_limit_volume(surface, pole, t_values, band=0.02):
     """
     pole = as_unit(np.asarray(pole, dtype=float))
     dim = surface.param_dim
-    base_area = surface_measure(surface)
-    bound = sphere_volume(dim) + base_area
+    bound = sphere_volume(dim) + surface_measure(surface)
     focus = _focus_point(surface, lambda pts: pts @ pole)
-    rows = []
-    for t in t_values:
-        cap = SphericalCap(pole, float(t))
-
-        def weight(points, cap=cap):
-            return fold_factor(cap, points) ** dim
-
-        volume, err = _weighted_volume(surface, weight, focus)
-        rows.append(
-            LimitRow(
-                parameter=float(t),
-                volume=volume,
-                quad_error=err,
-                bound=bound,
-                within_bound=bool(volume <= bound * (1.0 + band)),
-            )
-        )
-    return rows
+    caps = [SphericalCap(pole, float(t)) for t in t_values]
+    table = [(cap.t, focus, lambda pts, cap=cap: fold_factor(cap, pts) ** dim) for cap in caps]
+    return _limit_rows(surface, table, bound, band)
 
 
 def moebius_limit_volume(surface, ball_points, band=0.02):
@@ -264,11 +264,11 @@ def moebius_limit_volume(surface, ball_points, band=0.02):
 
     The bound column is the sphere volume: as |x| -> 1 the image volume can
     approach at most one full sphere (attained only by surfaces through the
-    point antipodal to the limit direction).
+    point antipodal to the limit direction).  Collinear ball points share a
+    focus, and with it their graded rules.
     """
     dim = surface.param_dim
-    bound = sphere_volume(dim)
-    rows = []
+    table = []
     for x in ball_points:
         x = np.asarray(x, dtype=float)
 
@@ -276,17 +276,8 @@ def moebius_limit_volume(surface, ball_points, band=0.02):
             return moebius_factor(x, points) ** dim
 
         focus = _focus_point(surface, lambda pts: -(pts @ x))
-        volume, err = _weighted_volume(surface, weight, focus)
-        rows.append(
-            LimitRow(
-                parameter=float(np.linalg.norm(x)),
-                volume=volume,
-                quad_error=err,
-                bound=bound,
-                within_bound=bool(volume <= bound * (1.0 + band)),
-            )
-        )
-    return rows
+        table.append((float(np.linalg.norm(x)), focus, weight))
+    return _limit_rows(surface, table, sphere_volume(dim), band)
 
 
 def moebius_area_two_routes(surface, ball_point):
@@ -297,20 +288,11 @@ def moebius_area_two_routes(surface, ball_point):
     Both use the surface's own parameter rule.
     """
     x = np.asarray(ball_point, dtype=float)
-    dim = surface.param_dim
-
-    def weight(points):
-        return moebius_factor(x, points) ** dim
-
-    weighted = surface_measure(surface, weight=weight)
-
-    composed = ParamSurface(
-        param_dim=surface.param_dim,
+    weighted = surface_measure(surface, lambda pts: moebius_factor(x, pts) ** surface.param_dim)
+    composed = replace(
+        surface,
         chart=lambda params: moebius_apply(x, surface.chart(params)),
-        nodes=surface.nodes,
-        weights=surface.weights,
         jacobian=None,
         name=surface.name + "+moebius",
     )
-    direct = surface_measure(composed)
-    return weighted, direct
+    return weighted, surface_measure(composed)

@@ -202,32 +202,36 @@ class ParamSurface:
         return _central_differences(self.chart, params, axes, _FD_STEP, on_sphere=False)
 
 
-def surface_measure(surface, weight=None, nodes=None, weights=None):
+def _chart_density(surface):
+    """Chart points and area density sqrt(det(J^T J)) at the surface's nodes."""
+    points = _values_at_nodes(surface.chart, surface.nodes, what="chart")
+    jac = surface.jacobian_at(surface.nodes)
+    gram = np.einsum("nij,nik->njk", jac, jac)
+    if gram.shape[-1] == 1:
+        return points, np.sqrt(gram[..., 0, 0])
+    det = np.linalg.det(gram)
+    if np.min(det) < -1e-12:
+        raise EvaluationError("negative Gram determinant in surface measure")
+    return points, np.sqrt(np.maximum(det, 0.0))
+
+
+def _weighted_area(surface, points, density, weight):
+    """sum_i w_i * weight(points_i) * density_i over the surface's rule."""
+    if weight is not None:
+        density = density * _values_at_nodes(weight, points, what="surface weight")
+    if not np.all(np.isfinite(density)):
+        raise EvaluationError("non-finite surface measure integrand")
+    return math.fsum((surface.weights * density).tolist())
+
+
+def surface_measure(surface, weight=None):
     """Weighted area of the chart image, counted with multiplicity.
 
     Computes sum_i w_i * weight(chart(z_i)) * sqrt(det(J^T J))(z_i) over the
-    surface's parameter rule (or an override rule).
+    surface's parameter rule; integrate on another rule through
+    `surface.with_rule(nodes, weights)`.
     """
-    nodes = surface.nodes if nodes is None else np.asarray(nodes, dtype=float)
-    weights = surface.weights if weights is None else np.asarray(weights, dtype=float)
-    points = _values_at_nodes(surface.chart, nodes, what="chart")
-    jac = surface.jacobian_at(nodes)
-    gram = np.einsum("nij,nik->njk", jac, jac)
-    if gram.shape[-1] == 1:
-        density = np.sqrt(gram[..., 0, 0])
-    else:
-        det = np.linalg.det(gram)
-        if np.min(det) < -1e-12:
-            raise EvaluationError("negative Gram determinant in surface measure")
-        density = np.sqrt(np.maximum(det, 0.0))
-    if weight is None:
-        factors = density
-    else:
-        wvals = _values_at_nodes(weight, points, what="surface weight")
-        factors = density * wvals
-    if not np.all(np.isfinite(factors)):
-        raise EvaluationError("non-finite surface measure integrand")
-    return math.fsum((weights * factors).tolist())
+    return _weighted_area(surface, *_chart_density(surface), weight)
 
 
 def interval_rule(a, b, count):
@@ -238,13 +242,12 @@ def interval_rule(a, b, count):
 
 
 def graded_interval_rule(a, b, focus, levels=20, panel_points=10):
-    """Panel rule on [a, b] geometrically refined toward an interior focus.
+    """Panel rule on [a, b] refined geometrically toward `focus`, clamped to [a, b].
 
-    Panels shrink by _GRADING_RATIO per level approaching the focus from both
-    sides, resolving integrands that concentrate there.
+    Panels shrink by _GRADING_RATIO per level toward the focus from both sides;
+    one leggauss(panel_points) is mapped onto all panels with interval_rule's arithmetic.
     """
-    if not a <= focus <= b:
-        focus = min(max(focus, a), b)
+    focus = min(max(focus, a), b)
     breakpoints = {a, b, focus}
     for outer in (a, b):
         span = abs(outer - focus)
@@ -254,15 +257,12 @@ def graded_interval_rule(a, b, focus, levels=20, panel_points=10):
         for _ in range(levels):
             step *= _GRADING_RATIO
             breakpoints.add(focus + math.copysign(step, outer - focus))
-    cuts = sorted(breakpoints)
-    nodes, weights = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-300:
-            continue
-        pn, pw = interval_rule(lo, hi, panel_points)
-        nodes.append(pn)
-        weights.append(pw)
-    return np.concatenate(nodes, axis=0), np.concatenate(weights)
+    cuts = np.array(sorted(breakpoints))
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi - lo >= 1e-300
+    mid, half = 0.5 * (lo[keep] + hi[keep]), 0.5 * (hi[keep] - lo[keep])
+    x, w = np.polynomial.legendre.leggauss(panel_points)
+    return (mid[:, None] + half[:, None] * x).reshape(-1, 1), (half[:, None] * w).ravel()
 
 
 def _tensor_rule(rule_x, rule_y):

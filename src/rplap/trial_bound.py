@@ -516,6 +516,8 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     point rounding; the two routes are cross-checked against each other.
     """
     n = w.sphere_dim
+    if n < 2:
+        raise DomainError(f"the energy chain needs sphere dimension n >= 2, got {n}")
     cst = veronese_constants(n)
     if rule is None:
         # the reflected-branch stretch concentrates near the cap complement,

@@ -132,6 +132,28 @@ def test_nonpositive_count_is_a_config_error(capsys, count):
     assert "count" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("limits-fold", "--t-values", ","),
+        ("limits-moebius", "--radii", ""),
+        ("com-solve", "--shift", ","),
+    ],
+)
+def test_empty_number_list_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[1]}: empty number list" in err
+
+
+def test_rayleigh_chain_on_the_circle_is_a_config_error(capsys):
+    code, out, err = run(capsys, "rayleigh-chain", "--dim", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and "dimension" in err
+
+
 def test_com_solve_pushforward_mode(capsys):
     code, out, _ = run(capsys, "com-solve", "--dim", "2", "--factor", "round", "--t", "0.4")
     assert code == 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -145,3 +146,37 @@ def test_moebius_two_routes_agree():
     half = circle_arc(POLE, ORTH, (-math.pi / 2, math.pi / 2))
     weighted, direct = moebius_area_two_routes(half, np.array([0.2, -0.3, 0.4]))
     npt.assert_allclose(weighted, direct, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Limit tables
+
+
+def _counting(surface):
+    calls = []
+
+    def chart(params):
+        calls.append(len(params))
+        return surface.chart(params)
+
+    return replace(surface, chart=chart), calls
+
+
+def test_fold_table_evaluates_the_chart_once_per_rule():
+    # the base area, the focus scan, and the coarse and fine graded rules
+    half, calls = _counting(circle_arc(POLE, ORTH, (-math.pi / 2, math.pi / 2)))
+    fold_limit_volume(half, POLE, [0.0, 0.5, 0.9])
+    assert len(calls) == 4
+
+
+def test_collinear_ball_points_share_their_graded_rules():
+    # one focus scan per ball point, and one pair of graded rules for all
+    full, calls = _counting(circle_arc(-POLE, ORTH, (-math.pi, math.pi)))
+    moebius_limit_volume(full, [r * POLE for r in (0.5, 0.9, 0.99, 0.999)])
+    assert len(calls) == 6
+
+
+def test_limit_tables_need_a_parameter_range():
+    arc = circle_arc(POLE, ORTH, (-1.0, 1.0), name="rangeless")
+    with pytest.raises(DomainError, match="rangeless"):
+        fold_limit_volume(replace(arc, param_range=None), POLE, [0.5])

@@ -134,6 +134,36 @@ def test_graded_rule_resolves_an_integrable_singularity(focus):
     npt.assert_allclose(value, exact, rtol=1e-5)
 
 
+def _graded_rule_per_panel(a, b, focus, levels, panel_points):
+    """The graded rule assembled one interval_rule per panel."""
+    focus = min(max(focus, a), b)
+    breakpoints = {a, b, focus}
+    for outer in (a, b):
+        span = abs(outer - focus)
+        if span < 1e-15:
+            continue
+        step = span
+        for _ in range(levels):
+            step *= 0.5
+            breakpoints.add(focus + math.copysign(step, outer - focus))
+    cuts = sorted(breakpoints)
+    panels = [
+        interval_rule(lo, hi, panel_points)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+        if hi - lo >= 1e-300
+    ]
+    return np.concatenate([n for n, _ in panels]), np.concatenate([w for _, w in panels])
+
+
+@pytest.mark.parametrize("focus", [0.3, -1.5, 2.5, -4.0, 7.0])
+@pytest.mark.parametrize("levels, panel_points", [(0, 1), (3, 5), (20, 12), (26, 16)])
+def test_graded_rule_equals_the_per_panel_rule_bitwise(focus, levels, panel_points):
+    nodes, weights = graded_interval_rule(-1.5, 2.5, focus, levels, panel_points)
+    ref_nodes, ref_weights = _graded_rule_per_panel(-1.5, 2.5, focus, levels, panel_points)
+    assert nodes.shape == ref_nodes.shape == (weights.shape[0], 1)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
 def test_product_rectangle_rule_is_separable():
     nodes, weights = product_rectangle_rule((0.0, 2.0), (-1.0, 1.0), 6, 5)
     value = float(weights @ (nodes[:, 0] ** 4 * nodes[:, 1] ** 2))
@@ -152,7 +182,7 @@ def test_circle_arc_measure_is_its_angle():
 def test_surface_measure_accepts_rule_overrides():
     arc = circle_arc(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), (0.0, 2.0))
     nodes, weights = interval_rule(0.0, 2.0, 40)
-    npt.assert_allclose(surface_measure(arc, nodes=nodes, weights=weights), 2.0, rtol=1e-12)
+    npt.assert_allclose(surface_measure(arc.with_rule(nodes, weights)), 2.0, rtol=1e-12)
     half = surface_measure(arc, weight=lambda pts: (pts[:, 1] >= 0).astype(float))
     npt.assert_allclose(half, 2.0, rtol=1e-12)  # the arc stays in y >= 0
 

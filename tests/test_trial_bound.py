@@ -335,6 +335,13 @@ def test_chain_rejects_a_center_outside_the_open_ball():
         rayleigh_chain(round_factor(2), cap, center=np.eye(5)[2])
 
 
+def test_chain_rejects_the_circle():
+    # RP^1 lies outside the theorem's dimensions: a domain error, not a failed stage
+    cap = SphericalCap(veronese_apply(1, np.eye(2)[:1])[0], 0.0)
+    with pytest.raises(DomainError, match="n >= 2"):
+        rayleigh_chain(round_factor(1), cap)
+
+
 def test_chain_frame_identity_covers_the_reflected_branch(monkeypatch):
     # A non-conformal stand-in for the cap reflection changes only the nodes
     # outside the cap, so the stage must look at every node to see it.

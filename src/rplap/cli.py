@@ -486,6 +486,8 @@ def cmd_limits_moebius(args):
         )
     else:
         raise ConfigError(f"unknown surface {args.surface!r}")
+    if min(args.radii) < 0.0:
+        raise ConfigError(f"--radii are distances |x| >= 0, got {min(args.radii):g}")
     ball_points = [r * direction for r in args.radii]
     limit_rows = degen_limits.moebius_limit_volume(surface, ball_points, band=args.band)
     return _limit_report(args, surface, limit_rows, "|x|")

@@ -6,7 +6,7 @@ outside; the Moebius stretch (1-|x|^2)/(1+|x|^2+2x.s)), integrated on
 parameter rules geometrically refined toward the concentration point.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -23,7 +23,7 @@ from .quadrature import (
     sphere_volume,
     surface_measure,
 )
-from .sphere_geom import SphericalCap, as_unit, fold_factor, moebius_apply, moebius_factor
+from .sphere_geom import SphericalCap, as_unit, fold_factor, moebius_factor
 from .veronese import veronese_apply, veronese_jacobian
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "LimitRow",
     "fold_limit_volume",
     "moebius_limit_volume",
-    "moebius_area_two_routes",
 ]
 
 GRADED_LEVELS = 26  # refinement levels toward the focus on a one-parameter chart
@@ -218,7 +217,10 @@ def _limit_rows(surface, table, bound, band):
     Each distinct focus gets a coarse and a fine graded rule, built once with
     the chart points and area densities at their nodes.  A row's volume is
     its weighted area on the fine rule; the coarse-fine gap is its error.
+    A row is within its bound up to the relative slack band >= 0.
     """
+    if not band >= 0.0:
+        raise DomainError(f"band must be a nonnegative relative slack, got {band!r}")
     box = _param_box(surface)
     levels = GRADED_LEVELS if len(box) == 1 else GRADED_TENSOR_LEVELS
 
@@ -278,21 +280,3 @@ def moebius_limit_volume(surface, ball_points, band=0.02):
         focus = _focus_point(surface, lambda pts: -(pts @ x))
         table.append((float(np.linalg.norm(x)), focus, weight))
     return _limit_rows(surface, table, sphere_volume(dim), band)
-
-
-def moebius_area_two_routes(surface, ball_point):
-    """Image volume under T_x computed two independent ways.
-
-    Route one weights the original chart by the conformal stretch to the
-    appropriate power; route two differentiates the composed chart directly.
-    Both use the surface's own parameter rule.
-    """
-    x = np.asarray(ball_point, dtype=float)
-    weighted = surface_measure(surface, lambda pts: moebius_factor(x, pts) ** surface.param_dim)
-    composed = replace(
-        surface,
-        chart=lambda params: moebius_apply(x, surface.chart(params)),
-        jacobian=None,
-        name=surface.name + "+moebius",
-    )
-    return weighted, surface_measure(composed)

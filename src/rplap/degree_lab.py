@@ -14,9 +14,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._newton import damped_newton
 from .errors import DomainError, EvaluationError, ResolutionError
 from .quadrature import build_sphere_rule, sphere_volume
-from .sphere_geom import _central_differences, _reflect, tangent_basis
+from .sphere_geom import _central_differences, _reflect, _tangent_retract, tangent_basis
 
 __all__ = [
     "SphereSelfMap",
@@ -124,46 +125,27 @@ def _pullback_dets(sphere_map, points):
     return np.linalg.det(np.concatenate([images[..., None], tans], axis=-1))
 
 
-def _newton_roots(residual, frames, tangents, retract, starts, step_cap, max_iter):
-    """Damped Newton from every start at once; returns (points, converged mask).
+def _newton_roots(residual, jacobian, retract, starts, step_cap, steps):
+    """Full Newton steps from every start at once; returns (points, converged mask).
 
-    Each round evaluates residual (N, out) once on the active rows, which
-    converge at |r| <= RESIDUAL_TOL.  The rest move by frames @ s, with s the
-    minimum-norm least-squares step -pinv(J) r (lstsq's cutoff), J =
-    tangents(points, frames) and |s| capped at step_cap.  retract(points,
-    moves) returns the moved points and which moves it accepts; rows with a
-    non-finite residual or Jacobian, or a rejected move, drop out.
+    A step is the minimum-norm least-squares s = -pinv(J) r (lstsq's cutoff),
+    J = jacobian(points), capped at |s| <= step_cap; retract(points, s) moves
+    along it, NaN where it rejects the move.  A row converges at |residual| <=
+    RESIDUAL_TOL, and stops after `steps` steps, once J is not finite, or at a
+    step that does not lower |residual|.
     """
-    points = np.array(starts, dtype=float)
-    active = np.ones(points.shape[0], dtype=bool)
-    converged = np.zeros(points.shape[0], dtype=bool)
-    for round_ in range(max_iter):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        res = residual(points[rows])
-        size = np.linalg.norm(res, axis=1)
-        done = size <= RESIDUAL_TOL
-        converged[rows[done]] = True
-        go = ~done & np.isfinite(size)
-        active[rows[~go]] = False
-        if round_ == max_iter - 1 or not go.any():
-            break
-        rows, res = rows[go], res[go]
-        basis = frames(points[rows])
-        jac = tangents(points[rows], basis)
-        finite = np.all(np.isfinite(jac), axis=(1, 2))
-        active[rows[~finite]] = False
-        rows, res, basis, jac = rows[finite], res[finite], basis[finite], jac[finite]
+
+    def step(points, res, _):
+        jac = jacobian(points)
+        jac[~np.all(np.isfinite(jac), axis=(1, 2))] = 0.0  # a zero step: the row stops
         cutoff = max(jac.shape[1:]) * np.finfo(float).eps
-        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ res[..., None])[..., 0]
-        size = np.linalg.norm(steps, axis=1)
-        over = size > step_cap
-        steps[over] *= (step_cap / size[over])[:, None]
-        moved, ok = retract(points[rows], (basis @ steps[..., None])[..., 0])
-        points[rows[ok]] = moved[ok]
-        active[rows[~ok]] = False
-    return points, converged
+        return -(np.linalg.pinv(jac, rcond=cutoff) @ res[..., None])[..., 0]
+
+    points, size, _, _, _ = damped_newton(
+        lambda rows, pts, aux: (residual(pts), aux), step, retract, starts, residual(starts),
+        np.empty((len(starts), 0)), RESIDUAL_TOL, steps, step_cap, 1.0,
+    )
+    return points, size <= RESIDUAL_TOL
 
 
 def _distinct(points):
@@ -220,13 +202,6 @@ def _start_points(dim, seed, budget=200):
     return np.concatenate([nodes, extra], axis=0)
 
 
-def _sphere_retract(points, moves):
-    moved = points + moves
-    norms = np.linalg.norm(moved, axis=1, keepdims=True)
-    ok = norms[:, 0] >= 1e-12
-    return moved / np.where(ok[:, None], norms, 1.0), ok
-
-
 def degree_regular_value(sphere_map, seed=0):
     """Degree as the signed count of preimages of a regular value.
 
@@ -241,12 +216,11 @@ def degree_regular_value(sphere_map, seed=0):
     target = vec / np.linalg.norm(vec)
     points, converged = _newton_roots(
         lambda pts: _map_images(sphere_map, pts) - target,
-        tangent_basis,
-        lambda pts, frames: _tangent_images(sphere_map, pts, frames),
-        _sphere_retract,
+        lambda pts: _tangent_images(sphere_map, pts, tangent_basis(pts)),
+        _tangent_retract,
         _start_points(d, seed + 1),
         step_cap=0.5,
-        max_iter=41,
+        steps=40,
     )
     preimages = _distinct(points[converged])
     signs = np.zeros(0, dtype=int)
@@ -375,30 +349,30 @@ def euclidean_degree(func, region, seed=0):
     random_starts = lower + rng.uniform(size=(BOX_EXTRA_STARTS, m)) * span
     starts = np.concatenate([starts, random_starts], axis=0)
 
-    def jacobians(points, frames):
-        return _central_differences(func, points, frames, BOX_FD_STEP, False)
+    def jacobians(points):
+        return _central_differences(func, points, np.eye(m)[None], BOX_FD_STEP, False)
 
     far_lo, far_hi = lower - 1.5 * span, upper + 1.5 * span
 
-    def retract(points, moves):
-        moved = points + moves
-        return moved, np.all((moved >= far_lo) & (moved <= far_hi), axis=1)
+    def retract(points, steps):
+        moved = points + steps
+        moved[~np.all((moved >= far_lo) & (moved <= far_hi), axis=1)] = np.nan
+        return moved
 
     points, converged = _newton_roots(
         lambda pts: np.atleast_2d(np.asarray(func(pts), dtype=float)),
-        lambda pts: np.broadcast_to(np.eye(m), (pts.shape[0], m, m)),
         jacobians,
         retract,
         starts,
         step_cap=float(np.max(span)),
-        max_iter=60,
+        steps=59,
     )
     found = points[converged]
     zeros = _distinct(found[region.contains(found)])
     signs = np.zeros(0, dtype=int)
     if zeros.shape[0]:  # no map call on zero points
         signs = _signs(
-            np.linalg.det(jacobians(zeros, np.eye(m)[None])),
+            np.linalg.det(jacobians(zeros)),
             f"degenerate zero: Jacobian determinant below {MIN_JACOBIAN:.1e}",
         )
     return EuclideanDegreeResult(degree=int(np.sum(signs)), zeros=zeros, signs=signs)

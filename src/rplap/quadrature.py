@@ -23,7 +23,6 @@ __all__ = [
     "projective_volume",
     "build_sphere_rule",
     "integrate",
-    "integrate_projective",
     "ParamSurface",
     "surface_measure",
     "interval_rule",
@@ -148,18 +147,6 @@ def integrate(rule, f):
     output component, so results are independent of threading.
     """
     return _weighted_sum(_values_at_nodes(f, rule.nodes), rule.weights)
-
-
-def integrate_projective(rule, f):
-    """Integrate an even integrand over projective space: one node per antipodal pair."""
-    m = rule.size // 2
-    sample = rule.nodes[: min(32, m)]
-    plus = np.asarray(f(sample), dtype=float)
-    minus = np.asarray(f(-sample), dtype=float)
-    scale = np.max(np.abs(plus)) + 1.0
-    if np.max(np.abs(plus - minus)) > 1e-9 * scale:
-        raise DomainError("integrand is not even; projective integral undefined")
-    return _weighted_sum(_values_at_nodes(f, rule.nodes[:m]), rule.weights[:m])
 
 
 # ---------------------------------------------------------------------------

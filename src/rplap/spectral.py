@@ -13,20 +13,16 @@ generalized symmetric problem is reduced by a Cholesky factorization of the
 mass matrix inside the dense symmetric eigensolver.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from . import harmonics
 from .errors import AssemblyError, ConfigError, DomainError, NumericError
-from .quadrature import (
-    QuadratureRule,
-    build_sphere_rule,
-    projective_volume,
-)
+from .quadrature import build_sphere_rule, projective_volume
 
 __all__ = [
     "DEFAULT_BASIS_DEGREE",

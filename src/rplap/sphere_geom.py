@@ -30,8 +30,6 @@ __all__ = [
     "cap_reflect_factor",
     "fold_apply",
     "fold_factor",
-    "stereographic",
-    "stereographic_inverse",
 ]
 
 UNIT_TOL = 1e-12          # admissible deviation of |y| from 1 at validation
@@ -160,6 +158,13 @@ def tangent_basis(x):
     return basis
 
 
+def _tangent_retract(points, steps):
+    """Unit rows moved by tangent_basis coordinates and renormalized (NaN at the origin)."""
+    moved = points + (tangent_basis(points) @ steps[..., None])[..., 0]
+    norms = np.linalg.norm(moved, axis=1, keepdims=True)
+    return moved / np.where(norms >= 1e-12, norms, np.nan)
+
+
 def _central_differences(func, points, directions, step, on_sphere):
     """Central differences of func at points (N, m) along directions (N or 1, m, k).
 
@@ -263,41 +268,3 @@ def fold_factor(cap, s):
     reflection acts as an isometry.
     """
     return _fold_factor(cap, as_unit(s, tol=SPHERE_DETECT_TOL))
-
-
-def _pole_frame(pole):
-    """Symmetric orthogonal Q with Q @ pole = last coordinate axis."""
-    pole = as_unit(pole)
-    m = pole.shape[-1]
-    axis = np.zeros(m)
-    axis[-1] = 1.0
-    v = pole - axis
-    nv2 = float(v @ v)
-    if nv2 < 1e-28:
-        return np.eye(m)
-    return np.eye(m) - 2.0 * np.outer(v, v) / nv2
-
-
-def stereographic(pole, y):
-    """Stereographic chart centered at pole (pole -> origin).
-
-    Projects from the antipode -pole, which is excluded from the domain.
-    """
-    q = _pole_frame(pole)
-    y = as_unit(y, tol=SPHERE_DETECT_TOL)
-    rotated = y @ q.T
-    last = rotated[..., -1]
-    if np.min(1.0 + last) <= 1e-14:
-        raise DomainError("stereographic chart undefined at the projection point")
-    return rotated[..., :-1] / (1.0 + last)[..., None]
-
-
-def stereographic_inverse(pole, z):
-    """Inverse of the chart centered at pole; origin -> pole."""
-    q = _pole_frame(pole)
-    z = np.asarray(z, dtype=float)
-    z2 = np.sum(z * z, axis=-1, keepdims=True)
-    rotated = np.concatenate([2.0 * z, 1.0 - z2], axis=-1) / (1.0 + z2)
-    out = rotated @ q.T
-    return out / _norm(out)[..., None]
-

@@ -16,6 +16,7 @@ from scipy.optimize import minimize  # noqa: F401  (perfbench wraps trial_bound.
 
 from . import spectral
 from .bounds import bound_constants
+from ._newton import damped_newton
 from .errors import ConvergenceError, DomainError
 from .quadrature import build_sphere_rule, projective_volume
 from .sphere_geom import (
@@ -26,9 +27,9 @@ from .sphere_geom import (
     _fold,
     _moebius,
     _moebius_factor,
+    _tangent_retract,
     as_ball,
     as_unit,
-    fold_apply,
     moebius_apply,
     tangent_basis,
 )
@@ -41,7 +42,6 @@ __all__ = [
     "moebius_shifted_uniform",
     "CenterResult",
     "center_of_mass",
-    "trial_map",
     "VFieldResult",
     "vector_field",
     "extended_vector_field",
@@ -133,55 +133,42 @@ class CenterResult:
 
 def _centered(points, weights, centers, mass, strict=True):
     moved = _moebius(-centers[:, None, :], points, True, strict)
-    return moved, weights @ moved / mass
+    return weights @ moved / mass, moved
 
 
 def _center_iterate(points, weights, tol, max_iter, start=None):
     """Newton centering of K measures at once: atoms (K, N, m), weights (N,).
 
-    A measure leaves the batch at residual <= tol.  A trial center off the open
-    ball or with a degenerate Moebius denominator is a rejected step.
+    A measure leaves the batch at residual <= tol, or with ConvergenceError
+    once no halving of its step down to SEARCH_MIN_SCALE lowers the residual.
+    A trial center off the open ball or with a degenerate Moebius denominator
+    is a rejected step.
     """
     mass = float(np.sum(weights))
     count, _, dim = points.shape
     centers = np.zeros((count, dim)) if start is None else np.array(start, dtype=float)
-    moved, mean = _centered(points, weights, centers, mass)
-    res = np.linalg.norm(mean, axis=1)
-    history = [res.copy()]
-    iterations = np.zeros(count, dtype=int)
-    for _ in range(max_iter):
-        rows = np.flatnonzero(res > tol)
-        if rows.size == 0:
-            break
-        iterations[rows] += 1
+    mean, moved = _centered(points, weights, centers, mass)
+
+    def step(centers, mean, moved):
         # Newton in the recentred frame: the sum of T_{-d}(y) over the moved
         # atoms has Jacobian -2 (mass I - sum w y y^T) at d = 0
-        second = np.swapaxes(moved[rows] * weights[:, None], 1, 2) @ moved[rows] / mass
-        shift = 0.5 * np.linalg.solve(np.eye(dim) - second, mean[rows, :, None])[..., 0]
-        shift *= (0.9 / np.fmax(np.linalg.norm(shift, axis=1), 0.9))[:, None]
-        scale = 1.0
-        while rows.size:
-            if scale < 1e-10:
-                raise ConvergenceError(
-                    f"center-of-mass step collapsed at residual {res[rows[0]]:.3g}",
-                    [float(h[rows[0]]) for h in history],
-                )
-            trial = _moebius(centers[rows], scale * shift, False)
-            trial[np.sum(trial * trial, axis=1) >= 1.0] = np.nan
-            trial_moved, trial_mean = _centered(points[rows], weights, trial, mass, False)
-            trial_res = np.linalg.norm(trial_mean, axis=1)
-            better = trial_res < res[rows]
-            took = rows[better]
-            centers[took], moved[took] = trial[better], trial_moved[better]
-            mean[took], res[took] = trial_mean[better], trial_res[better]
-            rows, shift = rows[~better], shift[~better]
-            scale *= 0.5
-        history.append(res.copy())
+        second = np.swapaxes(moved * weights[:, None], 1, 2) @ moved / mass
+        return 0.5 * np.linalg.solve(np.eye(dim) - second, mean[..., None])[..., 0]
+
+    def retract(centers, shifts):
+        trial = _moebius(centers, shifts, False)
+        trial[np.sum(trial * trial, axis=1) >= 1.0] = np.nan
+        return trial
+
+    centers, res, moved, iterations, history = damped_newton(
+        lambda rows, trial, _: _centered(points[rows], weights, trial, mass, False),
+        step, retract, centers, mean, moved, tol, max_iter, 0.9, SEARCH_MIN_SCALE,
+    )
     worst = int(np.argmax(res))
     if res[worst] > tol:
         raise ConvergenceError(
-            f"center of mass did not reach {tol:.3g} in {max_iter} iterations "
-            f"(residual {res[worst]:.3g})",
+            f"center of mass stopped at residual {res[worst]:.3g} after "
+            f"{iterations[worst]} iterations (tolerance {tol:.3g})",
             [float(h[worst]) for h in history],
         )
     return centers, moved, res, iterations, history
@@ -194,9 +181,9 @@ def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
     atoms moved by T_{-c}, their mean m and second moment S per unit mass,
     the step d = (I - S)^{-1} m / 2 solves the linearised centering, and c
     moves to T_c(d).  T_{-T_c(d)} is T_{-d} o T_{-c} up to a rotation, so the
-    update keeps the zero set.  Steps are capped at |d| <= 0.9 and halved
-    until the residual decreases.  The returned residual is re-verified with
-    exactly rounded summation.
+    update keeps the zero set.  Steps are capped at |d| <= 0.9 and halved,
+    down to SEARCH_MIN_SCALE, until the residual decreases.  The returned
+    residual is re-verified with exactly rounded summation.
     """
     if start is not None:
         start = as_ball(start)[None]
@@ -215,17 +202,6 @@ def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
 
 # ---------------------------------------------------------------------------
 # Trial maps and vector fields
-
-
-def trial_map(n, cap, center):
-    """The map y -> T_{-center}(fold(veronese(y))) on S^n, vectorized."""
-    center = np.asarray(center, dtype=float)
-
-    def apply(points):
-        images = veronese_apply(n, np.atleast_2d(np.asarray(points, dtype=float)))
-        return moebius_apply(-center, fold_apply(cap, images))
-
-    return apply
 
 
 class _FieldWorkspace:
@@ -304,7 +280,7 @@ class SearchResult:
 SEARCH_TOL = 1e-14         # |V| / mass at which a polished start has converged
 SEARCH_FD_STEP = 1.5e-8    # forward-difference step in the pole's tangent coordinates and t
 SEARCH_STEP_CAP = 0.5      # largest Gauss-Newton step
-SEARCH_MIN_SCALE = 2.0**-10  # a step halved below this has collapsed
+SEARCH_MIN_SCALE = 2.0**-10  # a step halved below this has collapsed (search and centering)
 SEARCH_PROGRESS = 0.99     # a round must cut a residual below this share of the last
 SEARCH_COM_TOL = 1e-12     # centering tolerance: V is only as accurate as its center
 
@@ -381,12 +357,11 @@ def search_vector_field_zero(
     def field(poles, ts, com_start=None):
         vecs, centers, _ = ws.field(poles, ts, com_tol=SEARCH_COM_TOL, com_start=com_start)
         vecs /= ws.mass
-        res = np.linalg.norm(vecs, axis=1)
-        for k, residual in enumerate(res.tolist()):
+        for k, residual in enumerate(np.linalg.norm(vecs, axis=1).tolist()):
             if residual < best["residual"]:
                 best.update(residual=residual, pole=poles[k], t=float(ts[k]), center=centers[k])
             trace.append(best["residual"])
-        return vecs, res, centers
+        return vecs, centers
 
     slice_basis = _principal_slice_basis(w, f, rule, seed=seed)
     angles = np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False)
@@ -397,47 +372,33 @@ def search_vector_field_zero(
     # value on all such caps: evaluate the first one only
     whole = SphericalCap(poles[:, None], ts[:, None, None]).contains(ws.images).all(axis=1)
     keep = ~whole | (np.cumsum(whole) == 1)
-    vec, res, center = field(poles[keep], ts[keep])
-    order = np.argsort(res, kind="stable")[:starts]
-    pole, t, vec, res, center = (a[order] for a in (poles[keep], ts[keep], vec, res, center))
+    vec, center = field(poles[keep], ts[keep])
+    order = np.argsort(np.linalg.norm(vec, axis=1), kind="stable")[:starts]
+    x, vec, center = np.column_stack([poles, ts])[keep][order], vec[order], center[order]
 
-    dim = pole.shape[1]  # unknowns: the pole's dim - 1 tangent coordinates, and t
+    dim = poles.shape[1]  # unknowns: the pole's dim - 1 tangent coordinates, and t
     cutoff = dim * np.finfo(float).eps
 
-    def moved(rows, steps, frames):
-        shifted = pole[rows] + (frames[rows] @ steps[:, :-1, None])[..., 0]
-        shifted /= np.linalg.norm(shifted, axis=1, keepdims=True)
-        return shifted, np.clip(t[rows] + steps[:, -1], 0.0, t_cap)
+    def retract(x, steps):
+        pole = _tangent_retract(x[:, :-1], steps[:, :-1])
+        return np.column_stack([pole, np.clip(x[:, -1] + steps[:, -1], 0.0, t_cap)])
 
-    active = res > SEARCH_TOL
-    for _ in range(maxiter):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        frames = tangent_basis(pole)  # (starts, dim, dim - 1)
+    def step(x, vec, center):
         # forward differences, warm-started at each start's center
-        probes = np.repeat(rows, dim)
-        differences = np.tile(SEARCH_FD_STEP * np.eye(dim), (rows.size, 1))
-        probe_vec, _, _ = field(*moved(probes, differences, frames), center[probes])
-        jac = ((probe_vec - vec[probes]) / SEARCH_FD_STEP).reshape(-1, dim, dim).transpose(0, 2, 1)
-        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ vec[rows, :, None])[..., 0]
+        base = np.repeat(np.arange(len(x)), dim)
+        probes = retract(x[base], np.tile(SEARCH_FD_STEP * np.eye(dim), (len(x), 1)))
+        probe_vec, _ = field(probes[:, :-1], probes[:, -1], center[base])
+        jac = ((probe_vec - vec[base]) / SEARCH_FD_STEP).reshape(-1, dim, dim).transpose(0, 2, 1)
+        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ vec[..., None])[..., 0]
         # a step pushing t below 0 where t = 0 moves the pole alone
-        jac[(t[rows] <= 0.0) & (steps[:, -1] < 0.0), :, -1] = 0.0
-        steps = -(np.linalg.pinv(jac, rcond=cutoff) @ vec[rows, :, None])[..., 0]
-        size = np.linalg.norm(steps, axis=1)
-        steps *= (SEARCH_STEP_CAP / np.fmax(size, SEARCH_STEP_CAP))[:, None]
-        before = res[rows]
-        left, scale = np.flatnonzero(size > 0.0), 1.0  # positions in rows still halving
-        while left.size and scale >= SEARCH_MIN_SCALE:
-            took = rows[left]
-            trial_pole, trial_t = moved(took, scale * steps[left], frames)
-            trial_vec, trial_res, trial_center = field(trial_pole, trial_t, center[took])
-            better = trial_res < res[took]
-            took = took[better]
-            pole[took], t[took], vec[took] = trial_pole[better], trial_t[better], trial_vec[better]
-            res[took], center[took] = trial_res[better], trial_center[better]
-            left, scale = left[~better], 0.5 * scale
-        active[rows] = (res[rows] > SEARCH_TOL) & (res[rows] < SEARCH_PROGRESS * before)
+        jac[(x[:, -1] <= 0.0) & (steps[:, -1] < 0.0), :, -1] = 0.0
+        return -(np.linalg.pinv(jac, rcond=cutoff) @ vec[..., None])[..., 0]
+
+    x, res, _, _, _ = damped_newton(
+        lambda rows, x, center: field(x[:, :-1], x[:, -1], center),
+        step, retract, x, vec, center,
+        SEARCH_TOL, maxiter, SEARCH_STEP_CAP, SEARCH_MIN_SCALE, SEARCH_PROGRESS,
+    )
     return SearchResult(
         pole=best["pole"],
         t=best["t"],
@@ -446,7 +407,7 @@ def search_vector_field_zero(
         mass=ws.mass,
         trace=tuple(trace),
         evaluations=len(trace),
-        start_results=tuple(zip(res.tolist(), t.tolist())),
+        start_results=tuple(zip(res.tolist(), x[:, -1].tolist())),
     )
 
 

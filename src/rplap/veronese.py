@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .sphere_geom import as_unit, tangent_basis
 
 __all__ = [
     "VeroneseConstants",
@@ -22,7 +21,6 @@ __all__ = [
     "output_dim",
     "veronese_apply",
     "veronese_jacobian",
-    "veronese_tangent_frame",
 ]
 
 
@@ -130,17 +128,3 @@ def veronese_jacobian(n, x):
         new[..., rows_prev + k, k] = -2.0 * tail
         jac = new
     return jac
-
-
-def veronese_tangent_frame(n, x):
-    """Images of an orthonormal tangent frame at a unit point x.
-
-    Returns (image_point, frame) where frame has shape (..., out_dim, n) with
-    mutually orthogonal columns of common length conformal_scale; the map is
-    conformal on the unit sphere.
-    """
-    x = as_unit(x)
-    basis = tangent_basis(x)
-    jac = veronese_jacobian(n, x)
-    frame = jac @ basis
-    return veronese_apply(n, x), frame

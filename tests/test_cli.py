@@ -204,6 +204,24 @@ def test_limits_moebius_full_circle(capsys):
     assert out.count("[pass]") == 2
 
 
+def test_limits_moebius_rejects_a_negative_radius(capsys):
+    # -0.999 would scale the direction to the far side, under the label |x| = 0.999
+    code, out, err = run(
+        capsys, "limits-moebius", "--surface", "avoiding-arc", "--radii=-0.999,0.999"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and "radii" in err
+
+
+@pytest.mark.parametrize("command", ["limits-fold", "limits-moebius"])
+def test_negative_band_is_a_config_error(capsys, command):
+    code, out, err = run(capsys, command, "--band", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and "band" in err
+
+
 def test_ratio_table(capsys, tmp_path):
     csv_path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "ratio-table", "--n-min", "2", "--n-max", "5", "--csv", str(csv_path))

@@ -9,13 +9,12 @@ from rplap.degen_limits import (
     cap_patch,
     circle_arc,
     fold_limit_volume,
-    moebius_area_two_routes,
     moebius_limit_volume,
     veronese_patch,
 )
 from rplap.errors import DomainError
 from rplap.quadrature import surface_measure
-from rplap.sphere_geom import moebius_apply
+from rplap.sphere_geom import moebius_apply, moebius_factor
 from rplap.veronese import veronese_apply
 
 POLE = np.array([0.0, 0.0, 1.0])
@@ -138,14 +137,18 @@ def test_moebius_cap_patch_matches_the_image_cap():
 
 
 def test_moebius_two_routes_agree():
+    # the chart weighted by the conformal stretch to the surface's dimension,
+    # and the differentiated Moebius-composed chart, give one image volume
     patch = cap_patch(POLE, 0.8)
-    for depth in (0.3, 0.6, 0.9):
-        x = np.array([0.0, depth * 0.6, -depth * 0.8])
-        weighted, direct = moebius_area_two_routes(patch, x)
-        npt.assert_allclose(weighted, direct, rtol=1e-7)
+    cases = [(patch, np.array([0.0, d * 0.6, -d * 0.8]), 1e-7) for d in (0.3, 0.6, 0.9)]
     half = circle_arc(POLE, ORTH, (-math.pi / 2, math.pi / 2))
-    weighted, direct = moebius_area_two_routes(half, np.array([0.2, -0.3, 0.4]))
-    npt.assert_allclose(weighted, direct, rtol=1e-9)
+    cases.append((half, np.array([0.2, -0.3, 0.4]), 1e-9))
+    for surface, x, rtol in cases:
+        dim = surface.param_dim
+        weighted = surface_measure(surface, lambda pts: moebius_factor(x, pts) ** dim)
+        chart = lambda params: moebius_apply(x, surface.chart(params))
+        direct = surface_measure(replace(surface, chart=chart, jacobian=None))
+        npt.assert_allclose(weighted, direct, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------

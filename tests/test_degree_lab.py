@@ -75,8 +75,9 @@ def _counted(func):
 
 
 def test_newton_runs_every_start_in_one_batch():
-    # one residual and one finite-difference call per round (41 rounds on the
-    # sphere, 60 in a box), plus the calls of the sign check
+    # one residual call at the starts, then one finite-difference and one
+    # residual call per full step (40 on the sphere, 59 in a box), plus the
+    # calls of the sign check; a step that was halved would call again
     warped = registry()["warped-flip"]
     func, calls = _counted(warped.func)
     assert degree_regular_value(replace(warped, func=func), seed=5).degree == 1
@@ -86,6 +87,12 @@ def test_newton_runs_every_start_in_one_batch():
     counted, calls = _counted(func)
     assert euclidean_degree(counted, involuted_region(region, 1)).degree == expected
     assert len(calls) <= 2 * 60 + 1
+
+    for example in (shifted_identity_example, zero_free_example):
+        func, region, expected = example(1)
+        counted, calls = _counted(func)
+        assert paired_degree_check(counted, region, 1).degree_minus == expected
+        assert len(calls) <= 2 * (2 * 60 + 1)  # two boxes
 
 
 def test_constant_map_has_no_preimages():

@@ -14,7 +14,6 @@ from rplap.quadrature import (
     build_sphere_rule,
     graded_interval_rule,
     integrate,
-    integrate_projective,
     interval_rule,
     product_rectangle_rule,
     projective_volume,
@@ -70,14 +69,6 @@ def test_monomial_exactness(n, alpha):
         return out
 
     npt.assert_allclose(integrate(rule, mono), sphere_monomial_integral(alpha), rtol=1e-12)
-
-
-def test_projective_integration_halves_even_integrands():
-    rule = build_sphere_rule(2, 12)
-    f = lambda pts: pts[:, 0] ** 2 + 0.5
-    npt.assert_allclose(integrate_projective(rule, f), 0.5 * integrate(rule, f), rtol=1e-14)
-    with pytest.raises(DomainError):
-        integrate_projective(rule, lambda pts: pts[:, 0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

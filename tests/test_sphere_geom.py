@@ -22,8 +22,6 @@ from rplap.sphere_geom import (
     moebius_apply,
     moebius_factor,
     reflect,
-    stereographic,
-    stereographic_inverse,
     tangent_basis,
 )
 from rplap.veronese import output_dim, veronese_apply, veronese_jacobian
@@ -272,16 +270,7 @@ def test_central_differences_recover_a_linear_map(matrix, seed):
     npt.assert_allclose(cols, np.broadcast_to(matrix, (5, 3, 4)), rtol=0, atol=1e-8)
 
 
-# --- stereographic chart ------------------------------------------------------
-
-
-def test_stereographic_round_trip(rng):
-    pole = unit_rows(rng.normal(size=4))[0]
-    y = unit_rows(rng.normal(size=(64, 4)))
-    y = y[y @ pole > -0.95]  # stay away from the projection point
-    z = stereographic(pole, y)
-    npt.assert_allclose(stereographic_inverse(pole, z), y, rtol=0, atol=1e-10)
-    npt.assert_allclose(stereographic(pole, pole[None]), 0.0, rtol=0, atol=1e-13)
+# --- the stereographic chart at the cap pole -----------------------------------
 
 
 @given(st.floats(0.05, 0.9), coords(3))
@@ -294,7 +283,8 @@ def test_cap_reflection_is_an_inversion_in_the_chart(t, y):
     if abs(y[0] @ pole) > 0.99:
         y = unit_rows(np.array([0.6, -0.3, 0.5]))
     eps = (1.0 - t) / (1.0 + t)
-    z = stereographic(pole, y)
-    lhs = stereographic(pole, cap_reflect(cap, y))
+    chart = lambda y: y[:, :2] / (1.0 + y[:, 2:])  # projects from -pole; pole -> 0
+    z = chart(y)
+    lhs = chart(cap_reflect(cap, y))
     rhs = eps**2 * z / np.sum(z * z, axis=1, keepdims=True)
     npt.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)

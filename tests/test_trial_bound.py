@@ -25,7 +25,6 @@ from rplap.trial_bound import (
     rayleigh_chain,
     search_vector_field_zero,
     theorem_check,
-    trial_map,
     vector_field,
 )
 from rplap.veronese import veronese_apply
@@ -163,15 +162,6 @@ def test_center_history_residuals_reach_tolerance():
 
 # ---------------------------------------------------------------------------
 # Trial maps and vector fields
-
-
-def test_trial_map_lands_on_the_unit_sphere(rng):
-    cap = SphericalCap(image_pole(2, [0, 1, 0]), 0.4)
-    apply = trial_map(2, cap, center=np.array([0.2, 0.0, 0.0, -0.1, 0.0]))
-    pts = rng.normal(size=(40, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    out = apply(pts)
-    npt.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_vector_field_respects_centering():

@@ -6,158 +6,4 @@ Galerkin spectra of conformal metrics, hyperbolic centers of mass, mapping
 degrees, and the dimensional constants of the bounds themselves.
 """
 
-from .bounds import BoundPair, bound_constants, ratio_table
-from .degen_limits import (
-    LimitRow,
-    cap_patch,
-    circle_arc,
-    fold_limit_volume,
-    moebius_limit_volume,
-    veronese_patch,
-)
-from .degree_lab import (
-    DegreeResult,
-    SphereSelfMap,
-    degree_integral,
-    degree_regular_value,
-    euclidean_degree,
-    paired_degree_check,
-    reflection_symmetry_check,
-)
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    EvaluationError,
-    NumericError,
-    ResolutionError,
-)
-from .harmonics import basis, harmonic_space_dim, round_eigenvalue
-from .quadrature import (
-    ParamSurface,
-    QuadratureRule,
-    build_sphere_rule,
-    integrate,
-    projective_volume,
-    sphere_volume,
-    surface_measure,
-)
-from .spectral import (
-    ConformalFactor,
-    EigenResult,
-    assemble_matrices,
-    cluster_eigenvalues,
-    constant_factor,
-    eigenvalues,
-    first_excited_state,
-    harmonic_factor,
-    normalize_volume,
-    parse_factor,
-    round_factor,
-    volume,
-    zonal_factor,
-)
-from .sphere_geom import (
-    SphericalCap,
-    cap_reflect,
-    cap_reflect_factor,
-    fold_apply,
-    fold_factor,
-    moebius_apply,
-    moebius_factor,
-    tangent_basis,
-)
-from .trial_bound import (
-    ChainReport,
-    PushforwardMeasure,
-    SearchResult,
-    TheoremReport,
-    center_of_mass,
-    moebius_shifted_uniform,
-    pushforward_measure,
-    rayleigh_chain,
-    search_vector_field_zero,
-    theorem_check,
-    vector_field,
-)
-from .veronese import (
-    VeroneseConstants,
-    output_dim,
-    veronese_apply,
-    veronese_jacobian,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssemblyError",
-    "BoundPair",
-    "ChainReport",
-    "ConfigError",
-    "ConformalFactor",
-    "ConvergenceError",
-    "DegreeResult",
-    "DomainError",
-    "EigenResult",
-    "EvaluationError",
-    "LimitRow",
-    "NumericError",
-    "ParamSurface",
-    "PushforwardMeasure",
-    "QuadratureRule",
-    "ResolutionError",
-    "SearchResult",
-    "SphereSelfMap",
-    "SphericalCap",
-    "TheoremReport",
-    "VeroneseConstants",
-    "assemble_matrices",
-    "basis",
-    "bound_constants",
-    "build_sphere_rule",
-    "cap_patch",
-    "cap_reflect",
-    "cap_reflect_factor",
-    "center_of_mass",
-    "circle_arc",
-    "cluster_eigenvalues",
-    "constant_factor",
-    "degree_integral",
-    "degree_regular_value",
-    "eigenvalues",
-    "euclidean_degree",
-    "first_excited_state",
-    "fold_apply",
-    "fold_factor",
-    "fold_limit_volume",
-    "harmonic_factor",
-    "harmonic_space_dim",
-    "integrate",
-    "moebius_apply",
-    "moebius_factor",
-    "moebius_limit_volume",
-    "moebius_shifted_uniform",
-    "normalize_volume",
-    "output_dim",
-    "paired_degree_check",
-    "parse_factor",
-    "projective_volume",
-    "pushforward_measure",
-    "ratio_table",
-    "rayleigh_chain",
-    "reflection_symmetry_check",
-    "round_eigenvalue",
-    "round_factor",
-    "search_vector_field_zero",
-    "sphere_volume",
-    "surface_measure",
-    "tangent_basis",
-    "theorem_check",
-    "vector_field",
-    "veronese_apply",
-    "veronese_jacobian",
-    "veronese_patch",
-    "volume",
-    "zonal_factor",
-]

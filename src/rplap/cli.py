@@ -18,27 +18,10 @@ import sys
 import numpy as np
 
 from . import bounds, degen_limits, degree_lab, spectral, trial_bound, veronese
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    EvaluationError,
-    NumericError,
-    ResolutionError,
-)
+from .errors import ConfigError, DomainError, NumericError
 from .quadrature import build_sphere_rule
 from .reporting import jsonable, write_csv, write_json
 from .sphere_geom import SphericalCap, tangent_basis
-
-_NUMERIC_ERRORS = (
-    AssemblyError,
-    ConvergenceError,
-    EvaluationError,
-    NumericError,
-    ResolutionError,
-)
-
 
 def _to_bool(text):
     lowered = text.strip().lower()
@@ -77,6 +60,17 @@ def _ints(text):
     if not out:
         raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
     return out
+
+
+def _one_of(*names):
+    """A type that accepts exactly one of `names`."""
+
+    def parse(text):
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"unknown value {text!r}; known: {' | '.join(names)}")
+        return text
+
+    return parse
 
 
 def _pole(text):
@@ -337,14 +331,7 @@ def cmd_vfield_search(args):
 
 
 def cmd_degree(args):
-    maps = degree_lab.registry()
-    if args.map not in maps:
-        raise ConfigError(f"unknown map {args.map!r}; known: {', '.join(sorted(maps))}")
-    sphere_map = maps[args.map]
-    method = args.method
-    if method not in {"both", "integral", "regular-value"}:
-        raise ConfigError(f"unknown method {method!r}")
-
+    sphere_map, method = degree_lab.registry()[args.map], args.method
     results = {}
     if method in {"both", "integral"}:
         results["integral"] = degree_lab.degree_integral(sphere_map)
@@ -429,9 +416,7 @@ def _fold_surface(kind, pole):
         return degen_limits.veronese_patch(
             (0.5 * math.pi - 0.5, 0.5 * math.pi + 0.5), (-0.5, 0.5)
         )
-    if kind == "cap-patch":
-        return degen_limits.cap_patch(pole, 0.8)
-    raise ConfigError(f"unknown surface {kind!r}")
+    return degen_limits.cap_patch(pole, 0.8)
 
 
 def _limit_report(args, surface, limit_rows, parameter):
@@ -477,15 +462,13 @@ def cmd_limits_moebius(args):
         surface = degen_limits.circle_arc(
             -direction, _orth_direction(direction), (-math.pi, math.pi), name=args.surface
         )
-    elif args.surface == "avoiding-arc":
+    else:
         surface = degen_limits.circle_arc(
             direction,
             _orth_direction(direction),
             (-0.25 * math.pi, 0.25 * math.pi),
             name=args.surface,
         )
-    else:
-        raise ConfigError(f"unknown surface {args.surface!r}")
     if min(args.radii) < 0.0:
         raise ConfigError(f"--radii are distances |x| >= 0, got {min(args.radii):g}")
     ball_points = [r * direction for r in args.radii]
@@ -605,18 +588,19 @@ def build_parser():
     )
 
     sub = command("degree", cmd_degree, "degree of a named sphere self-map")
-    sub.add_argument("--map", default="identity-s3", help="map name (see docs)")
-    sub.add_argument("--method", default="both", help="integral | regular-value | both")
+    maps = sorted(degree_lab.registry())
+    sub.add_argument("--map", type=_one_of(*maps), default="identity-s3", help=" | ".join(maps))
+    methods = ("integral", "regular-value", "both")
+    sub.add_argument("--method", type=_one_of(*methods), default="both", help=" | ".join(methods))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--paired", type=_to_bool, default=False, help="also run the paired box-degree examples"
     )
 
     sub = command("limits-fold", cmd_limits_fold, "fold volumes against the collapse bound")
+    surfaces = ("half-circle", "quarter-arc", "veronese-patch", "cap-patch")
     sub.add_argument(
-        "--surface",
-        default="half-circle",
-        help="half-circle | quarter-arc | veronese-patch | cap-patch",
+        "--surface", type=_one_of(*surfaces), default="half-circle", help=" | ".join(surfaces)
     )
     sub.add_argument("--pole", type=_floats, help="fold pole (comma floats)")
     sub.add_argument("--t-values", type=_floats, help="comma-separated cap parameters")
@@ -625,7 +609,10 @@ def build_parser():
     sub = command(
         "limits-moebius", cmd_limits_moebius, "Moebius volumes against the collapse bound"
     )
-    sub.add_argument("--surface", default="full-circle", help="full-circle | avoiding-arc")
+    surfaces = ("full-circle", "avoiding-arc")
+    sub.add_argument(
+        "--surface", type=_one_of(*surfaces), default="full-circle", help=" | ".join(surfaces)
+    )
     sub.add_argument("--direction", type=_floats, help="collapse direction (comma floats)")
     sub.add_argument(
         "--radii", type=_floats, default="0.5,0.9,0.99,0.999", help="comma-separated |x| values"
@@ -661,7 +648,7 @@ def main(argv=None):
     except (argparse.ArgumentError, ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return code

@@ -43,6 +43,64 @@ VERONESE_PATCH_NODES = (20, 20)  # (polar, azimuth) nodes of veronese_patch's ru
 CAP_PATCH_NODES = (16, 32)  # (radial, angular) nodes of cap_patch's rule
 
 
+def _frame_surface(frame, ranges, counts, name, scale=1.0, veronese=False):
+    """Spherical coordinates (r[, phi]) in the orthonormal frame (e0, e1[, e2]).
+
+    The chart is s = cos(scale r) e0 + sin(scale r)(cos phi e1 + sin phi e2),
+    with phi = 0 on a one-parameter chart, or veronese_apply(2, s) when
+    `veronese` is set.  Axis i carries a counts[i]-node Gauss-Legendre rule
+    on ranges[i].
+    """
+    ranges = tuple(tuple(map(float, axis)) for axis in ranges)
+
+    def polar(params):
+        """(scale r, phi, cos phi e1 + sin phi e2); phi is None on one-parameter charts."""
+        params = np.atleast_2d(params)
+        radial = params[:, 0] * scale
+        if len(ranges) == 1:
+            return radial, None, frame[1]
+        phi = params[:, 1]
+        return radial, phi, np.cos(phi)[:, None] * frame[1] + np.sin(phi)[:, None] * frame[2]
+
+    def sphere(radial, rim):
+        return np.cos(radial)[:, None] * frame[0] + np.sin(radial)[:, None] * rim
+
+    def chart(params):
+        radial, _, rim = polar(params)
+        points = sphere(radial, rim)
+        return veronese_apply(2, points) if veronese else points
+
+    def jacobian(params):
+        radial, phi, rim = polar(params)
+        outer = veronese_jacobian(2, sphere(radial, rim)) if veronese else None
+
+        def pushed(column):
+            # one contiguous column at a time keeps the sums' rounding fixed
+            return column if outer is None else np.einsum("kmi,ki->km", outer, column)
+
+        columns = [
+            pushed(scale * (-np.sin(radial)[:, None] * frame[0] + np.cos(radial)[:, None] * rim))
+        ]
+        if phi is not None:
+            d_rim = -np.sin(phi)[:, None] * frame[1] + np.cos(phi)[:, None] * frame[2]
+            columns.append(pushed(np.sin(radial)[:, None] * d_rim))
+        return np.stack(columns, axis=-1)
+
+    if len(ranges) == 1:
+        nodes, weights = interval_rule(*ranges[0], counts[0])
+    else:
+        nodes, weights = product_rectangle_rule(*ranges, *counts)
+    return ParamSurface(
+        param_dim=len(ranges),
+        chart=chart,
+        nodes=nodes,
+        weights=weights,
+        jacobian=jacobian,
+        name=name,
+        param_range=ranges[0] if len(ranges) == 1 else ranges,
+    )
+
+
 def circle_arc(through, toward, angle_range=(-math.pi, math.pi), name=""):
     """Unit-speed great-circle arc through `through` heading toward `toward`.
 
@@ -56,127 +114,31 @@ def circle_arc(through, toward, angle_range=(-math.pi, math.pi), name=""):
     norm = np.linalg.norm(b)
     if norm < 1e-12:
         raise DomainError("arc direction parallel to its base point")
-    b = b / norm
-
-    def chart(params):
-        theta = np.atleast_2d(params)[:, 0]
-        return np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * b
-
-    def jacobian(params):
-        theta = np.atleast_2d(params)[:, 0]
-        vel = -np.sin(theta)[:, None] * a + np.cos(theta)[:, None] * b
-        return vel[:, :, None]
-
-    nodes, weights = interval_rule(angle_range[0], angle_range[1], CIRCLE_ARC_NODES)
-    return ParamSurface(
-        param_dim=1,
-        chart=chart,
-        nodes=nodes,
-        weights=weights,
-        jacobian=jacobian,
-        name=name or "circle-arc",
-        param_range=(float(angle_range[0]), float(angle_range[1])),
-    )
+    return _frame_surface((a, b / norm), [angle_range], [CIRCLE_ARC_NODES], name or "circle-arc")
 
 
 def veronese_patch(polar_range, azimuth_range, name="veronese-patch"):
-    """Veronese image of a (polar, azimuth) rectangle on S^2, as a chart into S^4."""
+    """Veronese image of a (polar, azimuth) rectangle on S^2, as a chart into S^4.
 
-    def sphere_point(params):
-        params = np.atleast_2d(params)
-        polar, azimuth = params[:, 0], params[:, 1]
-        return np.stack(
-            [
-                np.sin(polar) * np.cos(azimuth),
-                np.sin(polar) * np.sin(azimuth),
-                np.cos(polar),
-            ],
-            axis=-1,
-        )
-
-    def chart(params):
-        return veronese_apply(2, sphere_point(params))
-
-    def jacobian(params):
-        params = np.atleast_2d(params)
-        polar, azimuth = params[:, 0], params[:, 1]
-        base = sphere_point(params)
-        d_polar = np.stack(
-            [
-                np.cos(polar) * np.cos(azimuth),
-                np.cos(polar) * np.sin(azimuth),
-                -np.sin(polar),
-            ],
-            axis=-1,
-        )
-        d_azimuth = np.stack(
-            [
-                -np.sin(polar) * np.sin(azimuth),
-                np.sin(polar) * np.cos(azimuth),
-                np.zeros_like(polar),
-            ],
-            axis=-1,
-        )
-        jac = veronese_jacobian(2, base)
-        return np.stack(
-            [
-                np.einsum("kmi,ki->km", jac, d_polar),
-                np.einsum("kmi,ki->km", jac, d_azimuth),
-            ],
-            axis=-1,
-        )
-
-    nodes, weights = product_rectangle_rule(polar_range, azimuth_range, *VERONESE_PATCH_NODES)
-    return ParamSurface(
-        param_dim=2,
-        chart=chart,
-        nodes=nodes,
-        weights=weights,
-        jacobian=jacobian,
-        name=name,
-        param_range=(tuple(map(float, polar_range)), tuple(map(float, azimuth_range))),
-    )
+    The polar angle is measured from e3 and the azimuth from e1 toward e2.
+    """
+    ranges = [polar_range, azimuth_range]
+    return _frame_surface(np.eye(3)[[2, 0, 1]], ranges, VERONESE_PATCH_NODES, name, veronese=True)
 
 
 def cap_patch(pole, opening_angle, name="cap-patch"):
-    """Geodesic cap around `pole` on S^2 charted over a flat rectangle."""
+    """Geodesic cap around `pole` on S^2 charted over a flat rectangle.
+
+    The parameters are (polar angle / opening_angle, azimuth) in [0, 1] x [0, 2 pi].
+    """
     pole = as_unit(np.asarray(pole, dtype=float))
     if pole.shape[0] != 3:
         raise DomainError("cap_patch builds surfaces on S^2")
     seed_dir = np.eye(3)[0] if abs(pole[0]) < 0.9 else np.eye(3)[1]
     u = seed_dir - (seed_dir @ pole) * pole
     u /= np.linalg.norm(u)
-    v = np.cross(pole, u)
-
-    def chart(params):
-        params = np.atleast_2d(params)
-        radial = params[:, 0] * opening_angle
-        angle = params[:, 1]
-        rim = np.cos(angle)[:, None] * u + np.sin(angle)[:, None] * v
-        return np.cos(radial)[:, None] * pole + np.sin(radial)[:, None] * rim
-
-    def jacobian(params):
-        params = np.atleast_2d(params)
-        radial = params[:, 0] * opening_angle
-        angle = params[:, 1]
-        rim = np.cos(angle)[:, None] * u + np.sin(angle)[:, None] * v
-        d_rim = -np.sin(angle)[:, None] * u + np.cos(angle)[:, None] * v
-        d_radial = opening_angle * (
-            -np.sin(radial)[:, None] * pole + np.cos(radial)[:, None] * rim
-        )
-        d_angle = np.sin(radial)[:, None] * d_rim
-        return np.stack([d_radial, d_angle], axis=-1)
-
-    nodes, weights = product_rectangle_rule((0.0, 1.0), (0.0, 2.0 * math.pi), *CAP_PATCH_NODES)
-    return ParamSurface(
-        param_dim=2,
-        chart=chart,
-        nodes=nodes,
-        weights=weights,
-        jacobian=jacobian,
-        name=name,
-        param_range=((0.0, 1.0), (0.0, 2.0 * math.pi)),
-    )
+    frame, ranges = (pole, u, np.cross(pole, u)), [(0.0, 1.0), (0.0, 2.0 * math.pi)]
+    return _frame_surface(frame, ranges, CAP_PATCH_NODES, name, scale=opening_angle)
 
 
 @dataclass(frozen=True)
@@ -201,14 +163,9 @@ def _param_box(surface):
 def _focus_point(surface, score):
     """Parameter point maximizing `score(chart(z))` on a dense scan of the box."""
     box = _param_box(surface)
-    if len(box) == 1:
-        dense = np.linspace(box[0][0], box[0][1], 4001)[:, None]
-    else:
-        axes = [np.linspace(lo, hi, 201) for lo, hi in box]
-        grid = np.meshgrid(*axes, indexing="ij")
-        dense = np.stack([g.ravel() for g in grid], axis=-1)
-    values = score(surface.chart(dense))
-    return dense[int(np.argmax(values))]
+    axes = [np.linspace(lo, hi, 4001 if len(box) == 1 else 201) for lo, hi in box]
+    dense = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return dense[int(np.argmax(score(surface.chart(dense))))]
 
 
 def _limit_rows(surface, table, bound, band):

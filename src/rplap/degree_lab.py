@@ -42,7 +42,6 @@ __all__ = [
     "warped_block_flip",
     "block_rotation_map",
     "circle_doubling",
-    "warped_flip_family",
     "registry",
 ]
 
@@ -588,14 +587,6 @@ def circle_doubling():
         return jac
 
     return SphereSelfMap(dim=1, func=func, jacobian=jacobian, name="doubling-s1")
-
-
-def warped_flip_family(half_dim, strength=0.8, steps=5):
-    """Homotopy from the plain block flip to the warped one."""
-    return [
-        warped_block_flip(half_dim, strength=value)
-        for value in np.linspace(0.0, strength, steps)
-    ]
 
 
 def registry():

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 2, everything else that
-signals a numerical breakdown -> 3.  Check failures (a verified inequality
-coming out false) are reported, not raised.
+The CLI maps these onto exit codes: ConfigError and DomainError (bad input)
+-> 2, NumericError and its subclasses (a numerical breakdown) -> 3.  Check
+failures (a verified inequality coming out false) are reported, not raised.
 """
 
 
@@ -10,15 +10,19 @@ class DomainError(ValueError):
     """Input outside an operation's mathematical domain."""
 
 
-class EvaluationError(RuntimeError):
+class NumericError(RuntimeError):
+    """A numerical routine failed (eigensolver breakdown, ill conditioning)."""
+
+
+class EvaluationError(NumericError):
     """An integrand or chart produced a non-finite value."""
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(NumericError):
     """Galerkin matrices could not be assembled (e.g. mass matrix not PD)."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericError):
     """An iterative solver ran out of iterations.
 
     Carries the residual history so callers can diagnose stagnation.
@@ -29,11 +33,7 @@ class ConvergenceError(RuntimeError):
         self.residual_history = list(residual_history or [])
 
 
-class NumericError(RuntimeError):
-    """A numerical routine failed (eigensolver breakdown, ill conditioning)."""
-
-
-class ResolutionError(RuntimeError):
+class ResolutionError(NumericError):
     """A discrete invariant (e.g. integer-valued degree) came out ambiguous."""
 
 

@@ -157,12 +157,6 @@ class HarmonicBasis:
         """Degree of each basis function, aligned with evaluation columns."""
         return np.repeat([b.degree for b in self.blocks], [b.coeffs.shape[1] for b in self.blocks])
 
-    def block_dim(self, degree):
-        for b in self.blocks:
-            if b.degree == degree:
-                return b.coeffs.shape[1]
-        raise DomainError(f"no degree-{degree} block in basis (max {self.max_degree})")
-
     def index_of(self, degree, position):
         offset = 0
         for b in self.blocks:

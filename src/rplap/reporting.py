@@ -44,13 +44,11 @@ def write_json(path, payload):
         handle.write("\n")
 
 
-def write_csv(path, rows, fieldnames=None):
-    """Write dict rows as CSV; field order follows the first row by default."""
+def write_csv(path, rows):
+    """Write dict rows as CSV; field order follows the first row."""
     rows = [jsonable(row) for row in rows]
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()) if rows else [])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

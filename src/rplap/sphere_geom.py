@@ -23,11 +23,9 @@ __all__ = [
     "as_ball",
     "moebius_apply",
     "moebius_factor",
-    "reflect",
     "tangent_basis",
     "SphericalCap",
     "cap_reflect",
-    "cap_reflect_factor",
     "fold_apply",
     "fold_factor",
 ]
@@ -53,7 +51,7 @@ def as_unit(y, tol=UNIT_TOL):
     return y / r[..., None]
 
 
-def as_ball(x, tol=UNIT_TOL):
+def as_ball(x):
     """Validate that x lies in the open unit ball."""
     x = np.asarray(x, dtype=float)
     r = _norm(x)
@@ -132,12 +130,6 @@ def _reflect(y, mirror, unit):
         raise DomainError("reflection mirror vector is zero")
     out = y - 2.0 * np.sum(y * mirror, axis=-1, keepdims=True) * mirror / m2
     return _snap(out, unit)
-
-
-def reflect(y, mirror):
-    """Reflect y across the hyperplane orthogonal to mirror (mirror != 0)."""
-    y = np.asarray(y, dtype=float)
-    return _reflect(y, np.asarray(mirror, dtype=float), _on_sphere(y))
 
 
 def tangent_basis(x):
@@ -240,11 +232,6 @@ def _cap_reflect_factor(cap, s):
     # outer is renormalized, as moebius_factor's validation does: the
     # denominator |x + s|^2 of _moebius_factor holds for unit s only
     return _moebius_factor(shift, _snap(outer, True)) * _moebius_factor(-shift, s)
-
-
-def cap_reflect_factor(cap, s):
-    """Conformal stretch of cap_reflect at a sphere point s."""
-    return _cap_reflect_factor(cap, as_unit(s, tol=SPHERE_DETECT_TOL))
 
 
 def _fold(cap, y):

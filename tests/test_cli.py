@@ -271,6 +271,19 @@ def test_bad_config_value_names_the_flag(capsys, tmp_path):
     assert err.startswith("configuration error: argument --dim:")
 
 
+def test_bad_choice_names_its_flag(capsys, tmp_path):
+    code, out, err = run(capsys, "degree", "--method", "bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: argument --method:")
+    config = tmp_path / "bad.ini"
+    config.write_text("[limits-fold]\nsurface = bogus\n")
+    code, out, err = run(capsys, "limits-fold", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: argument --surface:")
+
+
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     (tmp_path / "run.ini").write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])

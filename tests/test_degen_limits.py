@@ -50,6 +50,25 @@ def test_veronese_patch_area_scales_by_three():
     npt.assert_allclose(surface_measure(patch), 3.0 * base_area, rtol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "surface",
+    [
+        circle_arc(np.array([0.6, 0.0, 0.8]), np.array([0.3, -1.0, 0.2]), (-2.0, 2.5)),
+        cap_patch(np.array([0.48, -0.6, 0.64]), 0.8),
+        cap_patch(np.array([0.96, 0.0, 0.28]), 1.3),
+        veronese_patch((0.3, 2.2), (-2.5, 1.0)),
+    ],
+    ids=["arc", "cap", "cap-near-e1", "veronese"],
+)
+def test_surface_jacobians_match_central_differences(surface):
+    # each column, signs included: the areas above only see sqrt(det J^T J)
+    nodes, step = surface.nodes, 1e-6
+    jac = surface.jacobian(nodes)
+    for axis in np.eye(surface.param_dim):
+        fd = (surface.chart(nodes + step * axis) - surface.chart(nodes - step * axis)) / (2 * step)
+        npt.assert_allclose(jac @ axis, fd, rtol=0, atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Fold degeneration
 

@@ -2,12 +2,14 @@
 
 Volumes of folded or Moebius-translated surface charts are computed with the
 exact conformal stretch factors (1 inside a cap / the reflection stretch
-outside; the Moebius stretch (1-|x|^2)/(1+|x|^2+2x.s)), integrated on
-parameter rules geometrically refined toward the concentration point.
+outside; the Moebius stretch (1-|x|^2)/(1+|x|^2+2x.s)).  Each depends on a
+height chart . e alone, a closed form on the chart's lines, so each row's
+rule splits them at the fold's kink and grades toward the stretch's peak.
 """
 
 from dataclasses import dataclass
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -15,15 +17,14 @@ from .errors import DomainError
 from .quadrature import (
     ParamSurface,
     _chart_density,
-    _tensor_rule,
+    _graded_panels,
     _weighted_area,
-    graded_interval_rule,
     interval_rule,
     product_rectangle_rule,
     sphere_volume,
     surface_measure,
 )
-from .sphere_geom import SphericalCap, as_unit, fold_factor, moebius_factor
+from .sphere_geom import SphericalCap, as_ball, as_unit, fold_factor, moebius_factor
 from .veronese import veronese_apply, veronese_jacobian
 
 __all__ = [
@@ -35,12 +36,20 @@ __all__ = [
     "moebius_limit_volume",
 ]
 
-GRADED_LEVELS = 26  # refinement levels toward the focus on a one-parameter chart
-GRADED_TENSOR_LEVELS = 14  # per axis of a two-parameter chart, keeping the node count sane
-GRADED_PANEL_POINTS = 12  # Gauss-Legendre points per panel
+GRADED_PANEL_POINTS = (6, 10)  # Gauss-Legendre points per panel of a row's coarse and fine rule
+GRADING_MARGIN = 2  # halvings past the panel that spans the weight's peak width
+EVENT_SCAN = 1024  # closed-form samples of the phi axis that bracket its kink events
 CIRCLE_ARC_NODES = 64  # Gauss-Legendre nodes of circle_arc's own rule
 VERONESE_PATCH_NODES = (20, 20)  # (polar, azimuth) nodes of veronese_patch's rule
 CAP_PATCH_NODES = (16, 32)  # (radial, angular) nodes of cap_patch's rule
+
+
+@dataclass
+class _FrameSurface(ParamSurface):
+    """A _frame_surface chart; lift(r, phi) = chart((r, phi)) has one `frequency` in r."""
+
+    lift: Callable = None
+    frequency: float = 1.0
 
 
 def _frame_surface(frame, ranges, counts, name, scale=1.0, veronese=False):
@@ -52,52 +61,49 @@ def _frame_surface(frame, ranges, counts, name, scale=1.0, veronese=False):
     on ranges[i].
     """
     ranges = tuple(tuple(map(float, axis)) for axis in ranges)
+    frame = np.array([*frame, *[0.0 * frame[0]] * (3 - len(frame))])  # e2 = 0 on arcs (phi = 0)
 
-    def polar(params):
-        """(scale r, phi, cos phi e1 + sin phi e2); phi is None on one-parameter charts."""
-        params = np.atleast_2d(params)
-        radial = params[:, 0] * scale
-        if len(ranges) == 1:
-            return radial, None, frame[1]
-        phi = params[:, 1]
-        return radial, phi, np.cos(phi)[:, None] * frame[1] + np.sin(phi)[:, None] * frame[2]
+    def rims(phi):  # cos phi e1 + sin phi e2 and its phi-derivative
+        c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
+        return c * frame[1] + s * frame[2], c * frame[2] - s * frame[1]
 
-    def sphere(radial, rim):
-        return np.cos(radial)[:, None] * frame[0] + np.sin(radial)[:, None] * rim
-
-    def chart(params):
-        radial, _, rim = polar(params)
-        points = sphere(radial, rim)
+    def lift(r, phi):
+        radial = r * scale
+        points = np.cos(radial)[..., None] * frame[0] + np.sin(radial)[..., None] * rims(phi)[0]
         return veronese_apply(2, points) if veronese else points
 
+    def polar(params):
+        params = np.atleast_2d(params)
+        return params[:, 0], params[:, 1] if len(ranges) == 2 else np.zeros(len(params))
+
     def jacobian(params):
-        radial, phi, rim = polar(params)
-        outer = veronese_jacobian(2, sphere(radial, rim)) if veronese else None
+        r, phi = polar(params)
+        (rim, d_rim), radial = rims(phi), r[:, None] * scale
+        outer = veronese and veronese_jacobian(2, np.cos(radial) * frame[0] + np.sin(radial) * rim)
 
         def pushed(column):
             # one contiguous column at a time keeps the sums' rounding fixed
-            return column if outer is None else np.einsum("kmi,ki->km", outer, column)
+            return np.einsum("kmi,ki->km", outer, column) if veronese else column
 
-        columns = [
-            pushed(scale * (-np.sin(radial)[:, None] * frame[0] + np.cos(radial)[:, None] * rim))
-        ]
-        if phi is not None:
-            d_rim = -np.sin(phi)[:, None] * frame[1] + np.cos(phi)[:, None] * frame[2]
-            columns.append(pushed(np.sin(radial)[:, None] * d_rim))
+        columns = [pushed(scale * (-np.sin(radial) * frame[0] + np.cos(radial) * rim))]
+        if len(ranges) == 2:
+            columns.append(pushed(np.sin(radial) * d_rim))
         return np.stack(columns, axis=-1)
 
     if len(ranges) == 1:
         nodes, weights = interval_rule(*ranges[0], counts[0])
     else:
         nodes, weights = product_rectangle_rule(*ranges, *counts)
-    return ParamSurface(
+    return _FrameSurface(
         param_dim=len(ranges),
-        chart=chart,
+        chart=lambda params: lift(*polar(params)),
         nodes=nodes,
         weights=weights,
         jacobian=jacobian,
         name=name,
         param_range=ranges[0] if len(ranges) == 1 else ranges,
+        lift=lift,
+        frequency=(2.0 if veronese else 1.0) * scale,
     )
 
 
@@ -160,46 +166,142 @@ def _param_box(surface):
     return [(float(lo), float(hi)) for lo, hi in rng]
 
 
-def _focus_point(surface, score):
-    """Parameter point maximizing `score(chart(z))` on a dense scan of the box."""
-    box = _param_box(surface)
-    axes = [np.linspace(lo, hi, 4001 if len(box) == 1 else 201) for lo, hi in box]
-    dense = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    return dense[int(np.argmax(score(surface.chart(dense))))]
+def _height_lines(surface, direction):
+    """(frequency, lines): lines(phi) = (mean, amp, psi) with chart . direction =
+    mean + amp cos(tau - psi) at tau = frequency r on the line of fixed phi."""
+
+    def lines(phi):
+        quarters = np.arange(3.0).reshape(-1, *[1] * np.ndim(phi)) * 0.5 * math.pi
+        h0, h1, h2 = surface.lift(quarters / surface.frequency, phi) @ direction
+        mean = 0.5 * (h0 + h2)
+        return mean, np.hypot(h0 - mean, h1 - mean), np.arctan2(h1 - mean, h0 - mean)
+
+    return surface.frequency, lines
 
 
-def _limit_rows(surface, table, bound, band):
-    """One LimitRow per (parameter, focus, weight) triple of `table`.
+def _height(lines, tau):
+    return lines[0] + lines[1] * np.cos(tau - lines[2])
 
-    Each distinct focus gets a coarse and a fine graded rule, built once with
-    the chart points and area densities at their nodes.  A row's volume is
-    its weighted area on the fine rule; the coarse-fine gap is its error.
-    A row is within its bound up to the relative slack band >= 0.
-    """
+
+def _cuts(lines, span, level):
+    """Per line, the height's extrema and its `level` crossings inside span, NaN padded."""
+    mean, amp, psi = (v[:, None] for v in lines)
+    branch = np.floor((span[0] - psi) / math.pi) + np.arange(int((span[1] - span[0]) / math.pi) + 2)
+    start = psi + branch * math.pi  # branch k runs down from a peak (k even) or up from a trough
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = np.arccos((level - mean) / amp)
+    cuts = np.stack([start, start + np.where(branch % 2 == 0, alpha, math.pi - alpha)])
+    return np.where((cuts > span[0]) & (cuts < span[1]), cuts, np.nan)
+
+
+def _line_top(lines, span):
+    """Highest height on each line: an interior peak, or else the higher end."""
+    peak = lines[2] + 2.0 * math.pi * np.ceil((span[0] - lines[2]) / (2.0 * math.pi))
+    ends = np.maximum(_height(lines, span[0]), _height(lines, span[1]))
+    return np.where(peak < span[1], lines[0] + lines[1], ends)
+
+
+def _graded(lo, hi, profile, points, graded=True):
+    """Panels on the pieces [lo, hi], each graded toward its end of higher `profile`
+    (1 where the weight is singular) until its last panel ends GRADING_MARGIN
+    halvings inside the nearest point where 1 - profile doubles."""
+    up = profile(hi[:, None])[:, 0] >= profile(lo[:, None])[:, 0]
+    high, low = np.where(up, hi, lo), np.where(up, lo, hi)
+    probes = high[:, None] + (low - high)[:, None] * 0.5 ** np.arange(64)  # to float resolution
+    below = profile(probes) < 2.0 * profile(high[:, None]) - 1.0
+    nearest = np.where(below.any(axis=1), 64 - np.argmax(below[:, ::-1], axis=1), 0)
+    return _graded_panels(lo, hi, high, graded * (nearest + GRADING_MARGIN - 1), points)
+
+
+def _line_rule(lines, span, level, width, points):
+    """Rule in tau on each line, cut at its extrema and kink roots and graded
+    where the weight is not 1; returns nodes, weights and each node's line."""
+    cuts = np.sort(np.hstack([*_cuts(lines, span, level), 0 * lines[0][:, None] + span]), axis=1)
+    valid = cuts[:, 1:] > cuts[:, :-1]  # NaN padding compares False
+    line = np.nonzero(valid)[0]
+    lo, hi = cuts[:, :-1][valid], cuts[:, 1:][valid]
+    own = tuple(v[line, None] for v in lines)
+    above = _height(own, 0.5 * (lo + hi)[:, None])[:, 0] > level
+    nodes, weights, counts = _graded(lo, hi, lambda t: _height(own, t) / (1 + width), points, above)
+    return nodes, weights, np.repeat(line, counts)
+
+
+def _phi_cuts(lines, span, box, level, top):
+    """Cuts of the phi box at the turns of the line tops and at (returned) events, where a kink
+    root meets an r-edge or two merge; a full turn starts at its lowest top."""
+    grid = np.linspace(*box, EVENT_SCAN + 1)
+    if abs(box[1] - box[0] - 2.0 * math.pi) < 1e-12:
+        grid += grid[np.argmin(top(grid))] - box[0]
+    count = lambda phi: np.sum(np.isfinite(_cuts(lines(phi), span, level)[1]), axis=1)
+    jump = np.nonzero(np.diff(counts := count(grid)))[0]
+    lo, hi = grid[jump], grid[jump + 1]
+    for _ in range(44 if jump.size else 0):  # bisect the root count's jumps
+        mid = 0.5 * (lo + hi)
+        same = count(mid) == counts[jump]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    slope = np.sign(np.round(np.diff(top(grid)), 14))  # flat where it moves less than 1e-14
+    turn = np.nonzero(slope[:-1] * slope[1:] < 0)[0] + 1
+    phi, step, sense = grid[turn], grid[1] - grid[0], slope[turn - 1, None]
+    for _ in range(22 if turn.size else 0):  # zoom in on each turn by factors of 4
+        trial = np.clip(phi[:, None] + step * np.linspace(-1.0, 1.0, 9), grid[0], grid[-1])
+        phi, step = trial[np.arange(turn.size), np.argmax(sense * top(trial), axis=1)], step / 4
+    return np.unique(np.concatenate([grid[[0, -1]], hi, phi])), hi
+
+
+def _phi_rule(cuts, events, top, points):
+    """Graded rule between the phi cuts; one ending at an event runs in u with phi =
+    a + (b - a)(1 - cos pi u) / 2, which smooths the square root of merging roots."""
+    a, b = cuts[:-1], cuts[1:]
+    mapped = np.isin(a, events) | np.isin(b, events)
+    warp = lambda u, a, b, m: np.where(m, a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * u)), u)
+    profile = lambda u: top(warp(u, a[:, None], b[:, None], mapped[:, None]))
+    u, w, counts = _graded(np.where(mapped, 0.0, a), np.where(mapped, 1.0, b), profile, points)
+    i = np.repeat(np.arange(a.size), counts)
+    stretch = np.where(mapped[i], (b - a)[i] * 0.5 * math.pi * np.sin(math.pi * u), 1.0)
+    return warp(u, a[i], b[i], mapped[i]), w * stretch
+
+
+def _row_rules(surface, box, direction, width, level):
+    """Coarse and fine rules, with chart points and area densities, for weights of
+    kink `level` and peak `width` along `direction`; None if the weight is 1."""
+    frequency, lines = _height_lines(surface, np.asarray(direction, dtype=float))
+    span = sorted(frequency * np.asarray(box[0]))
+    top = lambda phi: _line_top(lines(phi), span) / (1.0 + width)
+    cuts, events = _phi_cuts(lines, span, box[1], level, top) if box[1:] else (np.zeros(1), None)
+    if not np.max(_line_top(lines(cuts), span)) > level:
+        return None
+    rules = []
+    for points in GRADED_PANEL_POINTS:
+        phi, phi_weights = _phi_rule(cuts, events, top, points) if box[1:] else (cuts, np.ones(1))
+        tau, weights, line = _line_rule(lines(phi), span, level, width, points)
+        nodes = np.stack([tau / frequency, phi[line]], axis=-1)[:, : len(box)]
+        ruled = surface.with_rule(nodes, weights * phi_weights[line] / abs(frequency))
+        rules.append((ruled, *_chart_density(ruled)))
+    return rules
+
+
+def _limit_rows(surface, table, bound, band, measure=None):
+    """One LimitRow per (parameter, direction, level, width, weight) in `table`: a
+    weight is 1 up to the height `level` along `direction`, then peaks like
+    1 / (width + 1 - height).  Rows of one direction and level share a coarse and
+    a fine rule; the fine area is the volume, the gap its error, band >= 0 the slack."""
     if not band >= 0.0:
         raise DomainError(f"band must be a nonnegative relative slack, got {band!r}")
     box = _param_box(surface)
-    levels = GRADED_LEVELS if len(box) == 1 else GRADED_TENSOR_LEVELS
-
-    def graded(focus, depth, panel_points):
-        per_axis = [
-            graded_interval_rule(lo, hi, float(f), levels=depth, panel_points=panel_points)
-            for (lo, hi), f in zip(box, focus)
-        ]
-        ruled = surface.with_rule(*(per_axis[0] if len(box) == 1 else _tensor_rule(*per_axis)))
-        return (ruled, *_chart_density(ruled))
-
-    rules, rows = {}, []
-    for parameter, focus, weight in table:
-        key = tuple(focus)
+    if not isinstance(surface, _FrameSurface):
+        raise DomainError(f"surface {surface.name!r} is not a frame chart of this module")
+    rules, rows = {}, [None] * len(table)
+    for i in sorted(range(len(table)), key=lambda i: table[i][3]):  # narrowest peaks first
+        parameter, direction, level, width, weight = table[i]
+        key = (tuple(np.round(direction, 12) + 0.0), level)
         if key not in rules:
-            rules[key] = (
-                graded(focus, levels, GRADED_PANEL_POINTS),
-                graded(focus, levels + 6, GRADED_PANEL_POINTS + 4),
-            )
-        coarse, fine = (_weighted_area(*rule, weight) for rule in rules[key])
-        within = bool(fine <= bound * (1.0 + band))
-        rows.append(LimitRow(parameter, fine, abs(fine - coarse), bound, within))
+            rules[key] = width < math.inf and _row_rules(surface, box, direction, width, level)
+        if not rules[key] or width == math.inf:
+            measure = coarse = volume = surface_measure(surface) if measure is None else measure
+        else:
+            coarse, volume = (_weighted_area(*rule, weight) for rule in rules[key])
+        within = bool(volume <= bound * (1.0 + band))
+        rows[i] = LimitRow(parameter, volume, abs(volume - coarse), bound, within)
     return rows
 
 
@@ -210,12 +312,12 @@ def fold_limit_volume(surface, pole, t_values, band=0.02):
     at most add one copy of the sphere as the complement cap collapses.
     """
     pole = as_unit(np.asarray(pole, dtype=float))
-    dim = surface.param_dim
-    bound = sphere_volume(dim) + surface_measure(surface)
-    focus = _focus_point(surface, lambda pts: pts @ pole)
-    caps = [SphericalCap(pole, float(t)) for t in t_values]
-    table = [(cap.t, focus, lambda pts, cap=cap: fold_factor(cap, pts) ** dim) for cap in caps]
-    return _limit_rows(surface, table, bound, band)
+    dim, measure, table = surface.param_dim, surface_measure(surface), []
+    for cap in (SphericalCap(pole, float(t)) for t in t_values):
+        # past the kink the stretch is (1-t^2)^2 / ((1-t)^4 + 4t(1+t^2)(1-h)), h = s.pole
+        width = (1.0 - cap.t) ** 4 / (4.0 * cap.t * (1.0 + cap.t**2)) if cap.t else math.inf
+        table.append((cap.t, pole, cap.threshold, width, lambda s, c=cap: fold_factor(c, s) ** dim))
+    return _limit_rows(surface, table, sphere_volume(dim) + measure, band, measure)
 
 
 def moebius_limit_volume(surface, ball_points, band=0.02):
@@ -223,17 +325,13 @@ def moebius_limit_volume(surface, ball_points, band=0.02):
 
     The bound column is the sphere volume: as |x| -> 1 the image volume can
     approach at most one full sphere (attained only by surfaces through the
-    point antipodal to the limit direction).  Collinear ball points share a
-    focus, and with it their graded rules.
+    point antipodal to the limit direction).  Collinear points share rules.
     """
-    dim = surface.param_dim
-    table = []
-    for x in ball_points:
-        x = np.asarray(x, dtype=float)
-
-        def weight(points, x=x):
-            return moebius_factor(x, points) ** dim
-
-        focus = _focus_point(surface, lambda pts: -(pts @ x))
-        table.append((float(np.linalg.norm(x)), focus, weight))
+    dim, table = surface.param_dim, []
+    for x in (as_ball(np.asarray(x, dtype=float)) for x in ball_points):
+        radius = float(np.linalg.norm(x))
+        # the stretch is (1-|x|^2) / ((1-|x|)^2 + 2|x|(1-h)), h = -s.x/|x|
+        width = (1.0 - radius) ** 2 / (2.0 * radius) if radius else math.inf
+        weight = lambda s, x=x: moebius_factor(x, s) ** dim
+        table.append((radius, -x / (radius or 1.0), -math.inf, width, weight))
     return _limit_rows(surface, table, sphere_volume(dim), band)

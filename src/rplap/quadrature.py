@@ -8,6 +8,7 @@ integrand's integral over projective space is its sum over those nodes.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 import math
 from typing import Callable, Optional
 
@@ -90,7 +91,7 @@ def _half_rule(n, degree):
         nodes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         return nodes, np.full(count // 2, 2.0 * math.pi / count)
     n_polar = (degree + 2) // 2
-    u, wu = np.polynomial.legendre.leggauss(n_polar) if n == 2 else roots_chebyu(n_polar)
+    u, wu = _gauss_legendre(n_polar) if n == 2 else roots_chebyu(n_polar)
     south = n_polar // 2
     base_half, base_half_weights = _half_rule(n - 1, degree)
     base, base_weights = _doubled(base_half, base_half_weights)
@@ -154,7 +155,6 @@ def integrate(rule, f):
 
 
 _FD_STEP = 1e-6  # central-difference step for charts without a jacobian
-_GRADING_RATIO = 0.5  # panel shrink per level of a graded interval rule
 
 
 @dataclass
@@ -221,35 +221,46 @@ def surface_measure(surface, weight=None):
     return _weighted_area(surface, *_chart_density(surface), weight)
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(count):
+    """numpy's Gauss-Legendre nodes and weights on [-1, 1], computed once per count, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def interval_rule(a, b, count):
     """Gauss-Legendre rule on [a, b], as (N, 1) parameter nodes and weights."""
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _gauss_legendre(count)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return (mid + half * x)[:, None], half * w
 
 
-def graded_interval_rule(a, b, focus, levels=20, panel_points=10):
-    """Panel rule on [a, b] refined geometrically toward `focus`, clamped to [a, b].
+def _graded_panels(lo, hi, high, levels, points):
+    """Gauss-Legendre panels with interval_rule's arithmetic on each [lo, hi], halving levels[i]
+    times toward its end `high` (not under 1e-15); nodes, weights and node counts."""
+    levels = np.where(hi - lo < 1e-15, 0, levels)
+    which = np.repeat(np.arange(lo.size), levels + 1)
+    k = np.arange(which.size) - np.repeat(np.cumsum(levels + 1) - levels - 1, levels + 1)
+    up = high == hi
+    depth, near, far = levels[which], high[which], np.where(up, lo, hi)[which]
+    k, span = np.where(up[which], k, depth - k), far - near  # panels ascend
+    cut = lambda j: np.where(j == 0, far, np.where(j > depth, near, near + span * 0.5**j))
+    start, stop = np.minimum(cut(k), cut(k + 1)), np.maximum(cut(k), cut(k + 1))
+    keep = stop - start >= 1e-300
+    mid, half = 0.5 * (start[keep] + stop[keep]), 0.5 * (stop[keep] - start[keep])
+    x, w = _gauss_legendre(points)
+    counts = np.bincount(which[keep], minlength=lo.size) * points
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel(), counts
 
-    Panels shrink by _GRADING_RATIO per level toward the focus from both sides;
-    one leggauss(panel_points) is mapped onto all panels with interval_rule's arithmetic.
-    """
+
+def graded_interval_rule(a, b, focus, levels=20, panel_points=10):
+    """Panel rule on [a, b] halving `levels` times toward `focus`, clamped to [a, b]."""
     focus = min(max(focus, a), b)
-    breakpoints = {a, b, focus}
-    for outer in (a, b):
-        span = abs(outer - focus)
-        if span < 1e-15:
-            continue
-        step = span
-        for _ in range(levels):
-            step *= _GRADING_RATIO
-            breakpoints.add(focus + math.copysign(step, outer - focus))
-    cuts = np.array(sorted(breakpoints))
-    lo, hi = cuts[:-1], cuts[1:]
-    keep = hi - lo >= 1e-300
-    mid, half = 0.5 * (lo[keep] + hi[keep]), 0.5 * (hi[keep] - lo[keep])
-    x, w = np.polynomial.legendre.leggauss(panel_points)
-    return (mid[:, None] + half[:, None] * x).reshape(-1, 1), (half[:, None] * w).ravel()
+    pieces = np.array([[a, focus], [focus, b]])
+    lo, hi = pieces[pieces[:, 1] > pieces[:, 0]].T
+    nodes, weights, _ = _graded_panels(lo, hi, 0.0 * lo + focus, levels, panel_points)
+    return nodes[:, None], weights
 
 
 def _tensor_rule(rule_x, rule_y):

@@ -204,6 +204,15 @@ def test_limits_moebius_full_circle(capsys):
     assert out.count("[pass]") == 2
 
 
+def test_limits_moebius_at_the_origin_is_the_identity(capsys):
+    code, out, _ = run(capsys, "limits-moebius", "--radii", "0,0.5")
+    assert code == 0
+    assert out == (
+        "[pass] |x| = 0       volume 6.28318531  bound 6.28318531\n"
+        "[pass] |x| = 0.5     volume 6.28318531  bound 6.28318531\n"
+    )
+
+
 def test_limits_moebius_rejects_a_negative_radius(capsys):
     # -0.999 would scale the direction to the far side, under the label |x| = 0.999
     code, out, err = run(

@@ -13,7 +13,7 @@ from rplap.degen_limits import (
     veronese_patch,
 )
 from rplap.errors import DomainError
-from rplap.quadrature import surface_measure
+from rplap.quadrature import ParamSurface, surface_measure
 from rplap.sphere_geom import moebius_apply, moebius_factor
 from rplap.veronese import veronese_apply
 
@@ -103,12 +103,12 @@ def test_fold_cap_patch_matches_closed_form():
     npt.assert_allclose(rows[0].volume, patch_area, rtol=1e-9)
     # once the complement cap sits inside the patch, the folded volume is
     # (patch minus complement) + (sphere minus complement), exactly
-    for row, t, rtol in ((rows[1], 0.6, 3e-4), (rows[2], 0.9, 1e-5)):
+    for row, t in ((rows[1], 0.6), (rows[2], 0.9)):
         tau = 2.0 * t / (1.0 + t * t)
         small = 2.0 * math.pi * (1.0 - tau)
         exact = (patch_area - small) + (4.0 * math.pi - small)
-        npt.assert_allclose(row.volume, exact, rtol=rtol)
-    npt.assert_allclose(rows[2].volume, 14.40259110, rtol=0, atol=1e-4)
+        npt.assert_allclose(row.volume, exact, rtol=1e-10)
+    npt.assert_allclose(rows[2].volume, 14.40259110, rtol=0, atol=1e-8)
 
 
 def test_fold_veronese_patch_stays_bounded():
@@ -184,18 +184,107 @@ def _counting(surface):
     return replace(surface, chart=chart), calls
 
 
-def test_fold_table_evaluates_the_chart_once_per_rule():
-    # the base area, the focus scan, and the coarse and fine graded rules
+V_POLE = veronese_apply(2, np.array([[1.0, 0.0, 0.0]]))[0]
+
+
+def _v_patch():
+    return veronese_patch((math.pi / 2 - 0.5, math.pi / 2 + 0.5), (-0.5, 0.5))
+
+
+def test_fold_veronese_patch_matches_independent_references():
+    # nested adaptive quadrature with the kink as a break point gives these
+    rows = fold_limit_volume(_v_patch(), V_POLE, [0.3, 0.6, 0.9])
+    npt.assert_allclose(rows[0].volume, 9.99262075684672, rtol=1e-10)
+    npt.assert_allclose(rows[1].volume, 14.011357764331274, rtol=1e-10)
+    npt.assert_allclose(rows[2].volume, 15.3737789933, rtol=1e-9)
+
+
+def _half_circle_fold_length(t):
+    # the arc inside the cap keeps its length pi - 2a; the rest is reflected
+    # onto the remaining 2 pi - 2a of the great circle
+    a = math.acos(2.0 * t / (1.0 + t * t))
+    return 3.0 * math.pi - 4.0 * a
+
+
+def _cap_patch_fold_area(t, alpha):
+    # for alpha above the cap angle a: (patch minus complement) + (sphere minus complement)
+    a = math.acos(2.0 * t / (1.0 + t * t))
+    assert alpha > a
+    return 2.0 * math.pi * (math.cos(a) - math.cos(alpha)) + 2.0 * math.pi * (1.0 + math.cos(a))
+
+
+def _moebius_arc_length(r, half_angle):
+    # T_{r d} scales tan(theta/2) by (1-r)/(1+r) along great circles through d
+    return 4.0 * math.atan((1.0 - r) / (1.0 + r) * math.tan(0.5 * half_angle))
+
+
+def _closed_form_tables():
+    half = circle_arc(POLE, ORTH, (-math.pi / 2, math.pi / 2))
+    patch = cap_patch(POLE, 0.8)
+    full = circle_arc(-POLE, ORTH, (-math.pi, math.pi))
+    avoid = circle_arc(POLE, ORTH, (-math.pi / 4, math.pi / 4))
+    ts, radii = [0.5, 0.9, 0.99, 0.999], [0.5, 0.9, 0.99, 0.999]
+    return [
+        (fold_limit_volume(half, POLE, ts), _half_circle_fold_length),
+        (fold_limit_volume(patch, POLE, [0.6, 0.9, 0.99, 0.999]), lambda t: _cap_patch_fold_area(t, 0.8)),
+        (moebius_limit_volume(full, [r * POLE for r in radii]), lambda r: 2.0 * math.pi),
+        (
+            moebius_limit_volume(avoid, [r * POLE for r in radii]),
+            lambda r: _moebius_arc_length(r, math.pi / 4),
+        ),
+    ]
+
+
+def test_limit_rows_match_their_closed_forms():
+    for rows, exact in _closed_form_tables():
+        for row in rows:
+            npt.assert_allclose(row.volume, exact(row.parameter), rtol=1e-10)
+
+
+def test_quad_error_bounds_the_true_error():
+    # up to the weights' own rounding: 1 - |x|^2 cancels as |x| -> 1
+    for rows, exact in _closed_form_tables():
+        for row in rows:
+            target = exact(row.parameter)
+            assert abs(row.volume - target) <= row.quad_error + 1e-13 * target, row
+
+
+def test_limit_tables_stay_within_their_node_budget():
+    # the chart rows each table evaluates, its surface measure included
+    patch, calls = _counting(_v_patch())
+    fold_limit_volume(patch, V_POLE, [0.0, 0.3, 0.6, 0.9])
+    assert sum(calls) <= 250_000
     half, calls = _counting(circle_arc(POLE, ORTH, (-math.pi / 2, math.pi / 2)))
-    fold_limit_volume(half, POLE, [0.0, 0.5, 0.9])
+    fold_limit_volume(half, POLE, [0.0, 0.5, 0.9, 0.99, 0.999])
+    assert sum(calls) <= 5_000
+
+
+def test_collinear_ball_points_share_their_rules():
+    # one coarse and one fine rule for all collinear points; a new direction
+    # brings its own pair
+    full, calls = _counting(circle_arc(-POLE, ORTH, (-math.pi, math.pi)))
+    moebius_limit_volume(full, [r * POLE for r in (0.5, 0.9, 0.99, 0.999)])
+    assert len(calls) == 2
+    calls.clear()
+    moebius_limit_volume(full, [0.5 * POLE, 0.9 * POLE, 0.5 * ORTH])
     assert len(calls) == 4
 
 
-def test_collinear_ball_points_share_their_graded_rules():
-    # one focus scan per ball point, and one pair of graded rules for all
-    full, calls = _counting(circle_arc(-POLE, ORTH, (-math.pi, math.pi)))
-    moebius_limit_volume(full, [r * POLE for r in (0.5, 0.9, 0.99, 0.999)])
-    assert len(calls) == 6
+def test_weights_equal_to_one_give_the_surface_measure_exactly():
+    # no direction at x = 0, and no kink on an arc the reflected region misses
+    full = circle_arc(-POLE, ORTH, (-math.pi, math.pi))
+    row = moebius_limit_volume(full, [np.zeros(3), 0.5 * POLE])[0]
+    assert (row.volume, row.quad_error) == (surface_measure(full), 0.0)
+    quarter = circle_arc(-POLE, ORTH, (-math.pi / 4, math.pi / 4))
+    for row in fold_limit_volume(quarter, POLE, [0.0, 0.5, 0.999]):
+        assert (row.volume, row.quad_error) == (surface_measure(quarter), 0.0)
+
+
+def test_limit_tables_need_a_frame_chart():
+    arc = circle_arc(POLE, ORTH, (-1.0, 1.0))
+    plain = ParamSurface(1, arc.chart, arc.nodes, arc.weights, name="plain", param_range=(-1.0, 1.0))
+    with pytest.raises(DomainError, match="plain"):
+        fold_limit_volume(plain, POLE, [0.5])
 
 
 def test_limit_tables_need_a_parameter_range():

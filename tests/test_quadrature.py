@@ -11,6 +11,7 @@ from rplap.errors import DomainError
 from rplap.quadrature import (
     ParamSurface,
     QuadratureRule,
+    _gauss_legendre,
     build_sphere_rule,
     graded_interval_rule,
     integrate,
@@ -98,6 +99,16 @@ def test_rule_that_breaks_the_antipodal_layout_is_rejected():
         QuadratureRule(dim=2, nodes=rule.nodes, weights=skewed, exactness=6)
     with pytest.raises(DomainError):
         QuadratureRule(dim=2, nodes=rule.nodes[:-1], weights=rule.weights[:-1], exactness=6)
+
+
+@pytest.mark.parametrize("count", [1, 6, 10, 41])
+def test_gauss_legendre_nodes_are_computed_once_and_read_only(count):
+    nodes, weights = _gauss_legendre(count)
+    expected = np.polynomial.legendre.leggauss(count)
+    assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
+    assert _gauss_legendre(count)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 @given(st.integers(min_value=1, max_value=12))

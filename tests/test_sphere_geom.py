@@ -283,3 +283,27 @@ def test_cap_reflection_is_an_inversion_in_the_chart(t, y):
     lhs = chart(cap_reflect(cap, y))
     rhs = eps**2 * z / np.sum(z * z, axis=1, keepdims=True)
     npt.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5]), st.floats(0.0, 0.999))
+def test_limit_weights_depend_only_on_a_height(seed, dim, t):
+    # the limit tables build their rules on this: the fold stretch is a
+    # closed form of h = y.pole, and the Moebius stretch of h = s.(-x/|x|)
+    rng = np.random.default_rng(seed)
+    pole = unit_rows(rng.normal(size=dim))[0]
+    y = unit_rows(rng.normal(size=(64, dim)))
+    h = y @ pole
+    stretch = (1.0 - t * t) ** 2 / ((1.0 - t) ** 4 + 4.0 * t * (1.0 + t * t) * (1.0 - h))
+    expected = np.where(h <= 2.0 * t / (1.0 + t * t), 1.0, stretch)
+    npt.assert_allclose(fold_factor(SphericalCap(pole, t), y), expected, rtol=1e-12, atol=0)
+
+    radius = min(t, 0.99)
+    x = -radius * pole
+    # the same heights, reached along other directions orthogonal to the pole
+    other = rng.normal(size=(64, dim))
+    other = unit_rows(other - (other @ pole)[:, None] * pole)
+    twin = h[:, None] * pole + np.sqrt(np.maximum(1.0 - h * h, 0.0))[:, None] * other
+    factor = moebius_factor(x, y)
+    npt.assert_allclose(moebius_factor(x, twin), factor, rtol=1e-12, atol=0)
+    closed = (1.0 - radius**2) / ((1.0 - radius) ** 2 + 2.0 * radius * (1.0 - h))
+    npt.assert_allclose(factor, closed, rtol=1e-12, atol=0)

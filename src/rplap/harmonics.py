@@ -133,6 +133,8 @@ def _harmonic_block(n, degree):
         grad_coeffs = np.concatenate(
             [_partial_matrix(exps, lower, var, 1) @ coeffs for var in range(d)], axis=1
         )
+        grad_coeffs.flags.writeable = False
+    coeffs.flags.writeable = False
     return _Block(degree=degree, coeffs=coeffs, grad_coeffs=grad_coeffs)
 
 

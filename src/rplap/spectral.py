@@ -7,13 +7,15 @@ node per antipodal pair, and multiplies those nodes' weights by the volume
 density w^{n/2} or the Dirichlet-energy weight w^{(n-2)/2}.  Every integrand
 is even, so this sum equals half the full-sphere sum.  Eigenvalues are
 computed by Galerkin projection onto even-degree spherical harmonics.  The
-mass and stiffness matrices are Gram products of the basis values and
-tangential gradients scaled by the square roots of those weights, and the
-generalized symmetric problem is reduced by a Cholesky factorization of the
-mass matrix inside the dense symmetric eigensolver.
+basis values and tangential gradients at the projective nodes do not depend
+on w: they are computed once per (n, degree), and each factor only reweights
+them by the square roots of its weights into the Gram products that are the
+mass and stiffness matrices.  A Cholesky factorization of the mass matrix
+inside the dense symmetric eigensolver reduces the generalized problem.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 import math
 from typing import Callable
 
@@ -80,7 +82,9 @@ class ConformalFactor:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         plus = self.values(pts)
         minus = self.values(-pts)
-        if np.min(plus) <= 0.0 or not np.all(np.isfinite(plus)):
+        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+            raise DomainError(f"conformal factor '{self.label}' not finite")
+        if np.min(plus) <= 0.0:
             raise DomainError(f"conformal factor '{self.label}' not positive")
         dev = np.max(np.abs(plus - minus) / np.maximum(np.abs(plus), 1e-300))
         if dev > 1e-12:
@@ -224,29 +228,39 @@ def normalize_volume(w, rule=None):
     return replace(w, scale=w.scale * bump)
 
 
-def assemble_matrices(w, basis_degree=None, rule=None):
+@lru_cache(maxsize=None)
+def _basis_tables(n, basis_degree):
+    """Read-only (rule, values, grads): the basis values (N, size) and C-contiguous
+    tangential gradients (N, d, size) at the default rule's projective nodes."""
+    if basis_degree < 2 or basis_degree % 2:
+        raise DomainError(f"basis degree must be even and >= 2, got {basis_degree}")
+    rule, base = default_rule(n, basis_degree), harmonics.basis(n, basis_degree)
+    nodes = rule.nodes[: rule.size // 2]
+    values = base.evaluate(nodes)
+    grads = np.swapaxes(base.tangential_gradients(nodes), 1, 2)
+    for array in (rule.nodes, rule.weights, values, grads):
+        array.flags.writeable = False
+    return rule, values, grads
+
+
+def assemble_matrices(w, basis_degree=None):
     """Galerkin stiffness/mass matrices over the even-harmonic basis.
 
     Returns (stiffness, mass, basis, rule).  Stiffness entries integrate
     grad Y_i . grad Y_j w^{(n-2)/2}; mass entries Y_i Y_j w^{n/2}; both over
     projective space (one node per antipodal pair), as exactly symmetric Gram
-    products G^T G of the weighted basis values or gradients.  The mass matrix
-    must come out positive definite or assembly fails.
+    products G^T G of the cached basis tables reweighted by the square roots
+    of those weights.  The mass matrix must be positive definite.
     """
     n = w.sphere_dim
     basis_degree = _basis_degree(n, basis_degree)
-    if basis_degree < 2 or basis_degree % 2:
-        raise DomainError(f"basis degree must be even and >= 2, got {basis_degree}")
-    if rule is None:
-        rule = default_rule(n, basis_degree)
+    rule, values, grads = _basis_tables(n, basis_degree)
     base = harmonics.basis(n, basis_degree)
-    nodes, _, mass_weight, energy_weight = _projective_weights(w, rule)
-    rows = base.evaluate(nodes) * np.sqrt(mass_weight)[:, None]
+    _, _, mass_weight, energy_weight = _projective_weights(w, rule)
+    rows = values * np.sqrt(mass_weight)[:, None]
     mass = rows.T @ rows
-    # (N, d, size) C-contiguous behind the (N, size, d) view: rows (node, axis)
-    grads = np.swapaxes(base.tangential_gradients(nodes), 1, 2)
-    grads *= np.sqrt(energy_weight)[:, None, None]
-    grads = grads.reshape(-1, base.size)
+    # rows (node, axis) of the (N, d, size) block
+    grads = (grads * np.sqrt(energy_weight)[:, None, None]).reshape(-1, base.size)
     stiffness = grads.T @ grads
     try:
         scipy.linalg.cholesky(mass)
@@ -284,7 +298,7 @@ class EigenResult:
     rule_exactness: int
 
 
-def eigenvalues(w, basis_degree=None, count=None, rule=None):
+def eigenvalues(w, basis_degree=None, count=None):
     """Solve the Galerkin eigenproblem for the metric w * g on RP^n.
 
     Returns an EigenResult with the `count` smallest eigenvalues (all by
@@ -292,7 +306,7 @@ def eigenvalues(w, basis_degree=None, count=None, rule=None):
     """
     if count is not None and count < 1:
         raise DomainError(f"eigenvalue count must be >= 1, got {count}")
-    stiffness, mass, base, rule = assemble_matrices(w, basis_degree, rule)
+    stiffness, mass, base, rule = assemble_matrices(w, basis_degree)
     try:
         vals, vecs = scipy.linalg.eigh(stiffness, mass)
     except (scipy.linalg.LinAlgError, ValueError) as exc:

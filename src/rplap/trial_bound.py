@@ -625,7 +625,7 @@ class TheoremReport:
     convergence_gap: Optional[float] = None
 
 
-def theorem_check(w, basis_degree=None, rule=None, include_gap=False):
+def theorem_check(w, basis_degree=None, include_gap=False):
     """Check lambda_2(w) < 2^{2/n} (2n+2) for the volume-normalized metric.
 
     lambda_2 is the third Galerkin eigenvalue (two below it, counting
@@ -634,10 +634,9 @@ def theorem_check(w, basis_degree=None, rule=None, include_gap=False):
     """
     n = w.sphere_dim
     basis_degree = spectral._basis_degree(n, basis_degree)
-    if rule is None:
-        rule = spectral.default_rule(n, basis_degree)
+    rule, _, _ = spectral._basis_tables(n, basis_degree)
     normalized = spectral.normalize_volume(w, rule=rule)
-    result = spectral.eigenvalues(normalized, basis_degree, rule=rule)
+    result = spectral.eigenvalues(normalized, basis_degree)
     lam2 = float(result.eigenvalues[2])
     pair = bound_constants(n)
     gap = None

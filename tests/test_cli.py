@@ -320,6 +320,13 @@ def test_bad_factor_spec(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("spec", ["const:inf", "zonal:nan"])
+def test_non_finite_factor_is_named_as_such(capsys, spec):
+    code, _, err = run(capsys, "theorem-check", "--factor", spec)
+    assert code == 2
+    assert "not finite" in err and "not positive" not in err
+
+
 def test_json_and_csv_writers_are_deterministic(tmp_path):
     payload = {"alpha": np.float64(1.5), "beta": np.arange(3), "flag": np.bool_(True)}
     first, second = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rplap import harmonics, spectral
 from rplap.errors import AssemblyError, ConfigError, DomainError
 from rplap.quadrature import projective_volume
 from rplap.sphere_geom import SphericalCap
@@ -181,6 +182,44 @@ def test_gram_assembly_matches_the_einsum_reference(n, spec):
     for got, ref in ((mass, ref_mass), (stiffness, ref_stiffness)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(got, got.T)
+
+
+def _fresh_assembly(w, basis_degree):
+    """(stiffness, mass) from basis tables evaluated afresh at the default rule."""
+    n = w.sphere_dim
+    rule = default_rule(n, basis_degree)
+    base = harmonics.basis(n, basis_degree)
+    m = rule.size // 2
+    nodes, weights = rule.nodes[:m], rule.weights[:m]
+    wv = w.values(nodes)
+    rows = base.evaluate(nodes) * np.sqrt(weights * wv ** (n / 2.0))[:, None]
+    grads = np.swapaxes(base.tangential_gradients(nodes), 1, 2)
+    grads = grads * np.sqrt(weights * wv ** ((n - 2) / 2.0))[:, None, None]
+    grads = grads.reshape(-1, base.size)
+    return grads.T @ grads, rows.T @ rows
+
+
+@pytest.mark.parametrize("n, spec", [(2, "zonal:0.5"), (3, "exp:2,0,0.2")])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_cached_tables_assemble_bitwise_the_fresh_matrices(n, spec, extra):
+    degree = spectral.DEFAULT_BASIS_DEGREE[n] + extra
+    w, other = parse_factor(spec, n), constant_factor(n, 2.5)
+    first = assemble_matrices(w, degree)
+    assemble_matrices(other, degree)
+    again = assemble_matrices(w, degree)
+    for got, ref in zip(first[:2], _fresh_assembly(w, degree)):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(again[:2], first[:2]):
+        assert np.array_equal(got, ref)
+
+
+def test_cached_tables_and_harmonic_blocks_are_read_only():
+    rule, values, grads = spectral._basis_tables(2, 8)
+    block = harmonics._harmonic_block(2, 4)
+    for array in (rule.nodes, rule.weights, values, grads, block.coeffs, block.grad_coeffs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array *= 1.0
 
 
 @pytest.mark.parametrize("n, spec", [(2, "exp:2,1,0.2;4,3,-0.05"), (3, "zonal:0.6")])

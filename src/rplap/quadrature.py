@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import roots_chebyu
 
 from .errors import DomainError, EvaluationError
-from .sphere_geom import _central_differences
 
 __all__ = [
     "QuadratureRule",
@@ -154,23 +153,19 @@ def integrate(rule, f):
 # Parametric surfaces
 
 
-_FD_STEP = 1e-6  # central-difference step for charts without a jacobian
-
-
 @dataclass
 class ParamSurface:
     """Surface chart into a sphere with a quadrature rule on its parameters.
 
-    chart maps parameter rows (N, param_dim) -> ambient rows (N, M+1).
-    jacobian, when given, returns (N, M+1, param_dim) and skips finite
-    differences.
+    chart maps parameter rows (N, param_dim) -> ambient rows (N, M+1), and
+    jacobian maps them to its analytic Jacobian (N, M+1, param_dim).
     """
 
     param_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
     nodes: np.ndarray
     weights: np.ndarray
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     param_range: Optional[tuple] = None  # exact domain: (lo, hi), or one such per axis
 
@@ -181,18 +176,11 @@ class ParamSurface:
             weights=np.asarray(weights, dtype=float),
         )
 
-    def jacobian_at(self, params):
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(params), dtype=float)
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        axes = np.eye(self.param_dim)[None]
-        return _central_differences(self.chart, params, axes, _FD_STEP, on_sphere=False)
-
 
 def _chart_density(surface):
     """Chart points and area density sqrt(det(J^T J)) at the surface's nodes."""
     points = _values_at_nodes(surface.chart, surface.nodes, what="chart")
-    jac = surface.jacobian_at(surface.nodes)
+    jac = np.asarray(surface.jacobian(surface.nodes), dtype=float)
     gram = np.einsum("nij,nik->njk", jac, jac)
     if gram.shape[-1] == 1:
         return points, np.sqrt(gram[..., 0, 0])

@@ -104,6 +104,18 @@ def moebius_apply(x, y):
     return _moebius(x, y, _on_sphere(y))
 
 
+def _moebius_differential(x, y, v):
+    # D T_x(y) v = (2x ((x + y).v) + (1 - |x|^2) v - T_x(y) (grad D . v)) / D on
+    # columns v (N, m, k) at rows y (N, m) of the closed ball, where
+    # D = 1 + 2 x.y + |x|^2 |y|^2 and grad D = 2x + 2 |x|^2 y
+    xx = np.sum(x * x, axis=-1, keepdims=True)
+    yy = np.sum(y * y, axis=-1, keepdims=True)
+    denom = 1.0 + 2.0 * np.sum(x * y, axis=-1, keepdims=True) + xx * yy
+    numer = 2.0 * x[..., :, None] * ((x + y)[..., None, :] @ v) + (1.0 - xx)[..., None] * v
+    slope = (2.0 * (x + xx * y))[..., None, :] @ v
+    return (numer - _moebius(x, y, False)[..., :, None] * slope) / denom[..., None]
+
+
 def _moebius_factor(x, s):
     xx = np.sum(x * x, axis=-1)
     gap = x + s
@@ -224,6 +236,14 @@ def cap_reflect(cap, y):
     """
     y = np.asarray(y, dtype=float)
     return _cap_reflect(cap, y, _on_sphere(y))
+
+
+def _cap_reflect_differential(cap, y, v):
+    # the product of differentials along T_{tp} o R_p o T_{-tp}; R_p is linear
+    shift = cap.t * cap.pole
+    mirror = np.eye(y.shape[-1]) - 2.0 * np.outer(cap.pole, cap.pole)
+    outer = _reflect(_moebius(-shift, y, False), cap.pole, False)
+    return _moebius_differential(shift, outer, mirror @ _moebius_differential(-shift, y, v))
 
 
 def _cap_reflect_factor(cap, s):

@@ -22,10 +22,11 @@ from .quadrature import build_sphere_rule, projective_volume
 from .sphere_geom import (
     SphericalCap,
     _cap_reflect,
+    _cap_reflect_differential,
     _cap_reflect_factor,
-    _central_differences,
     _fold,
     _moebius,
+    _moebius_differential,
     _moebius_factor,
     _tangent_retract,
     as_ball,
@@ -464,17 +465,17 @@ def _eq_stage(stage_id, lhs, rhs, rel_tol):
     )
 
 
-CHAIN_FD_STEP = 1e-5  # central-difference step of the chain's finite-difference route
-
-
 def rayleigh_chain(w, cap, center=None, rule=None):
     """Verify the energy chain bounding the trial maps' Rayleigh quotients.
 
-    Numerators and the n-energy are computed twice: by finite differences
-    through the centered fold (chain rule through the Veronese Jacobian), and
-    through the exact conformal stretch factors.  Inequality stages are
-    evaluated node-wise on the analytic route, where they hold up to floating
-    point rounding; the two routes are cross-checked against each other.
+    Numerators and the n-energy are computed twice, both exactly: from the
+    Jacobian of the trial map (the product of the Veronese, cap-reflection and
+    Moebius differentials along each node's fold branch), and from the
+    conformal stretch factors.  The two routes share no derivative code and
+    are cross-checked against each other to rounding (the `fd` in stage ids
+    and value keys names the Jacobian route).  Inequality stages are
+    evaluated node-wise on the stretch route, where they hold up to floating
+    point rounding.
     """
     n = w.sphere_dim
     if n < 2:
@@ -503,26 +504,11 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     denominators = np.einsum("k,kj->j", mass_weights, centered * centered)
     den_sum = math.fsum(denominators.tolist())
 
-    # -- finite-difference route through T_{-center} o fold, along the unit
-    # directions of the Veronese images of orthonormal tangent frames
-    directions = np.einsum(
-        "kmi,kin->kmn", veronese_jacobian(n, nodes), tangent_basis(nodes)
-    )  # (N, m, n)
-    v_norm = np.linalg.norm(directions, axis=1)  # (N, n)
-    directions /= v_norm[:, None, :]
-    probe_inside = np.tile(inside, 2)
-
-    def centered_branch(points):
-        # each probe stays on the fold branch of its own node
-        branch = np.where(probe_inside[:, None], points, _cap_reflect(cap, points, True))
-        return _moebius(-center, branch, True)
-
-    # one call per direction: all 2n probe sets at once hold n times the memory
-    cols = [
-        _central_differences(centered_branch, images, directions[:, :, [j]], CHAIN_FD_STEP, True)
-        for j in range(n)
-    ]
-    deriv = np.concatenate(cols, axis=-1) * v_norm[:, None, :]  # (N, m, n)
+    # -- Jacobian route: the exact differential of T_{-center} o fold, applied
+    # to the Veronese images of orthonormal tangent frames, on each node's branch
+    deriv = veronese_jacobian(n, nodes) @ tangent_basis(nodes)  # (N, m, n)
+    deriv[~inside] = _cap_reflect_differential(cap, images[~inside], deriv[~inside])
+    deriv = _moebius_differential(-center, atoms, deriv)
     comp_grad_sq = np.sum(deriv * deriv, axis=-1)
     gram = np.einsum("kmi,kmj->kij", deriv, deriv)
     grad_sq = np.trace(gram, axis1=1, axis2=2)  # sum_j |grad u_j|^2 at each node
@@ -561,13 +547,13 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     stages = (
         ChainStage("unit-image", unit_dev, 1e-10, 1e-10, unit_dev <= 1e-10, 1e-10 - unit_dev),
         _eq_stage("denominator-sum", den_sum, metric_vol, 1e-10),
-        _eq_stage("numerators-fd-vs-analytic", energy_fd, energy_analytic, 1e-6),
+        _eq_stage("numerators-fd-vs-analytic", energy_fd, energy_analytic, 1e-10),
         _ineq_stage("hoelder", energy_analytic, holder_rhs, 1e-9),
         _eq_stage(
             "conformal-invariance", n_energy_fd_metric, n_energy_fd_round, 1e-8
         ),
-        _eq_stage("energy-vs-split-volume", n_energy_fd_round, n_energy_analytic, 1e-6),
-        _eq_stage("frame-identity", frame_dev + n, n, 1e-6),
+        _eq_stage("energy-vs-split-volume", n_energy_fd_round, n_energy_analytic, 1e-10),
+        _eq_stage("frame-identity", frame_dev + n, n, 1e-10),
         _ineq_stage(
             "drop-intersections",
             n_energy_analytic,

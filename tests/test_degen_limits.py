@@ -12,6 +12,7 @@ from rplap.degen_limits import (
     moebius_limit_volume,
     veronese_patch,
 )
+from rplap import sphere_geom as sg
 from rplap.errors import DomainError
 from rplap.quadrature import ParamSurface, surface_measure
 from rplap.sphere_geom import moebius_apply, moebius_factor
@@ -157,7 +158,8 @@ def test_moebius_cap_patch_matches_the_image_cap():
 
 def test_moebius_two_routes_agree():
     # the chart weighted by the conformal stretch to the surface's dimension,
-    # and the differentiated Moebius-composed chart, give one image volume
+    # and the Moebius-composed chart with its exact differential, give one
+    # image volume
     patch = cap_patch(POLE, 0.8)
     cases = [(patch, np.array([0.0, d * 0.6, -d * 0.8]), 1e-7) for d in (0.3, 0.6, 0.9)]
     half = circle_arc(POLE, ORTH, (-math.pi / 2, math.pi / 2))
@@ -166,7 +168,10 @@ def test_moebius_two_routes_agree():
         dim = surface.param_dim
         weighted = surface_measure(surface, lambda pts: moebius_factor(x, pts) ** dim)
         chart = lambda params: moebius_apply(x, surface.chart(params))
-        direct = surface_measure(replace(surface, chart=chart, jacobian=None))
+        jacobian = lambda params: sg._moebius_differential(
+            x, surface.chart(params), surface.jacobian(params)
+        )
+        direct = surface_measure(replace(surface, chart=chart, jacobian=jacobian))
         npt.assert_allclose(weighted, direct, rtol=rtol)
 
 
@@ -282,7 +287,9 @@ def test_weights_equal_to_one_give_the_surface_measure_exactly():
 
 def test_limit_tables_need_a_frame_chart():
     arc = circle_arc(POLE, ORTH, (-1.0, 1.0))
-    plain = ParamSurface(1, arc.chart, arc.nodes, arc.weights, name="plain", param_range=(-1.0, 1.0))
+    plain = ParamSurface(
+        1, arc.chart, arc.nodes, arc.weights, jacobian=arc.jacobian, name="plain", param_range=(-1.0, 1.0)
+    )
     with pytest.raises(DomainError, match="plain"):
         fold_limit_volume(plain, POLE, [0.5])
 

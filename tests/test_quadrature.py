@@ -9,7 +9,6 @@ from scipy.spatial import cKDTree
 
 from rplap.errors import DomainError
 from rplap.quadrature import (
-    ParamSurface,
     QuadratureRule,
     _gauss_legendre,
     build_sphere_rule,
@@ -187,20 +186,6 @@ def test_surface_measure_accepts_rule_overrides():
     npt.assert_allclose(surface_measure(arc.with_rule(nodes, weights)), 2.0, rtol=1e-12)
     half = surface_measure(arc, weight=lambda pts: (pts[:, 1] >= 0).astype(float))
     npt.assert_allclose(half, 2.0, rtol=1e-12)  # the arc stays in y >= 0
-
-
-def test_fd_jacobian_fallback_matches_analytic():
-    pole = np.array([0.0, 1.0, 0.0])
-    toward = np.array([0.0, 0.0, 1.0])
-    arc = circle_arc(pole, toward, (-1.0, 1.0))
-    blind = ParamSurface(
-        param_dim=1,
-        chart=arc.chart,
-        nodes=arc.nodes,
-        weights=arc.weights,
-        param_range=arc.param_range,
-    )
-    npt.assert_allclose(surface_measure(blind), surface_measure(arc), rtol=1e-8)
 
 
 def test_with_rule_swaps_nodes_only():

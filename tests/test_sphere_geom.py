@@ -265,6 +265,52 @@ def test_central_differences_recover_a_linear_map(matrix, seed):
     npt.assert_allclose(cols, np.broadcast_to(matrix, (5, 3, 4)), rtol=0, atol=1e-8)
 
 
+# --- exact differentials --------------------------------------------------------
+
+
+def assert_differential_matches_central_differences(func, differential, sphere_rows, rng):
+    # on the sphere along tangent frames; inside the ball along every axis,
+    # where the terms in y.v count as well.  Errors are taken relative to each
+    # row's largest entry: the stretch here spans 1/361 to 361.
+    ball = ball_rows(rng.normal(size=sphere_rows.shape))
+    axes = np.eye(sphere_rows.shape[1])[None]
+    for y, directions, on_sphere in ((sphere_rows, tangent_basis(sphere_rows), True), (ball, axes, False)):
+        cols = sg._central_differences(
+            lambda p: func(p, on_sphere), y, directions, FD_STEP, on_sphere
+        )
+        exact = differential(y, directions)
+        scale = np.max(np.abs(exact), axis=(1, 2), keepdims=True)
+        npt.assert_array_less(np.abs(exact - cols) / scale, 1e-6)
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5]), st.floats(0.0, 0.95))
+def test_moebius_differential_matches_central_differences(seed, dim, radius):
+    rng = np.random.default_rng(seed)
+    x = radius * unit_rows(rng.normal(size=dim))[0]
+    # -x/|x| is the point of largest stretch, (1 + |x|) / (1 - |x|)
+    y = np.concatenate([-unit_rows(x), unit_rows(rng.normal(size=(7, dim)))])
+    assert_differential_matches_central_differences(
+        lambda p, unit: sg._moebius(x, p, unit),
+        lambda p, v: sg._moebius_differential(x, p, v),
+        y,
+        rng,
+    )
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5]), st.floats(0.0, 0.9))
+def test_cap_reflect_differential_matches_central_differences(seed, dim, t):
+    rng = np.random.default_rng(seed)
+    cap = SphericalCap(unit_rows(rng.normal(size=dim))[0], t)
+    # the pole is the point of largest stretch, ((1 + t) / (1 - t))^2
+    y = np.concatenate([cap.pole[None], unit_rows(rng.normal(size=(7, dim)))])
+    assert_differential_matches_central_differences(
+        lambda p, unit: sg._cap_reflect(cap, p, unit),
+        lambda p, v: sg._cap_reflect_differential(cap, p, v),
+        y,
+        rng,
+    )
+
+
 # --- the stereographic chart at the cap pole -----------------------------------
 
 

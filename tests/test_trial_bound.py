@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rplap
-from rplap import spectral, trial_bound
+from rplap import spectral, sphere_geom as sg, trial_bound
 from rplap.errors import DomainError
 from rplap.quadrature import projective_volume
 from rplap.sphere_geom import SphericalCap, moebius_apply
@@ -333,17 +333,31 @@ def test_chain_rejects_the_circle():
 
 
 def test_chain_frame_identity_covers_the_reflected_branch(monkeypatch):
-    # A non-conformal stand-in for the cap reflection changes only the nodes
-    # outside the cap, so the stage must look at every node to see it.
-    def stretched(cap, y, unit):
-        out = y * np.array([1.5, 1.0, 1.0, 1.0, 1.0])
-        return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    # A non-conformal stand-in for the cap reflection's differential changes
+    # only the nodes outside the cap, so the stage must look at every node to
+    # see it.
+    def stretched(cap, y, v):
+        return np.diag([1.5, 1.0, 1.0, 1.0, 1.0]) @ sg._cap_reflect_differential(cap, y, v)
 
-    monkeypatch.setattr(trial_bound, "_cap_reflect", stretched)
+    monkeypatch.setattr(trial_bound, "_cap_reflect_differential", stretched)
     cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.45)
     report = rayleigh_chain(round_factor(2), cap)
     stages = {stage.stage_id: stage for stage in report.stages}
     assert not stages["frame-identity"].passed
+
+
+def test_chain_differentials_are_exact_on_a_strongly_stretched_pole():
+    # At this pole, about V(-0.804, -0.448, 0.390), a central-difference step
+    # of 1e-5 missed the stretch route by 2.6e-6 to 2.8e-6; the exact
+    # differentials meet it to rounding.  The pole's conformal-volume-reflected
+    # stage fails on quadrature, which is not what this test checks.
+    base = [-0.8044145285061058, -0.4479889473452013, 0.3901578775122166]
+    cap = SphericalCap(image_pole(2, base), 0.9)
+    for w in (round_factor(2), zonal_factor(2, 0.5)):
+        stages = {stage.stage_id: stage for stage in rayleigh_chain(w, cap).stages}
+        for stage_id in ("numerators-fd-vs-analytic", "energy-vs-split-volume", "frame-identity"):
+            assert stages[stage_id].passed, (w.label, stages[stage_id])
+            assert stages[stage_id].tolerance <= 1e-10
 
 
 def test_chain_dimension_three():

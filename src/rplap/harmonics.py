@@ -203,7 +203,7 @@ class HarmonicBasis:
 def basis(n, max_degree):
     """Even-degree harmonic basis on S^n (degrees 0, 2, ..., max_degree)."""
     if n not in (2, 3):
-        raise DomainError(f"harmonic basis supports n in {{2, 3}}, got {n}")
+        raise DomainError(f"harmonic basis needs dimension 2 or 3, got {n}")
     if max_degree < 0 or max_degree % 2:
         raise DomainError(f"max_degree must be even and >= 0, got {max_degree}")
     blocks = tuple(_harmonic_block(n, deg) for deg in range(0, max_degree + 1, 2))

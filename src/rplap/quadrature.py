@@ -22,7 +22,6 @@ __all__ = [
     "sphere_volume",
     "projective_volume",
     "build_sphere_rule",
-    "integrate",
     "ParamSurface",
     "surface_measure",
     "interval_rule",
@@ -129,24 +128,6 @@ def _values_at_nodes(f, nodes, what="integrand"):
             f"{what} non-finite at node {idx}: {nodes[idx].tolist()}"
         )
     return values
-
-def _weighted_sum(values, weights):
-    if values.ndim == 1:
-        return math.fsum((values * weights).tolist())
-    if values.ndim == 2:
-        weighted = values * weights[:, None]
-        return np.array([math.fsum(weighted[:, j].tolist()) for j in range(values.shape[1])])
-    raise DomainError("integrand must return scalars or 1-D vectors per node")
-
-
-def integrate(rule, f):
-    """Integrate f over the sphere.
-
-    f maps the (N, n+1) node array to values of shape (N,) or (N, k).
-    Summation is exactly-rounded (math.fsum) in ascending node order, per
-    output component, so results are independent of threading.
-    """
-    return _weighted_sum(_values_at_nodes(f, rule.nodes), rule.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
 """Laplacian spectra of conformal metrics on real projective space.
 
-A metric is specified by a positive even conformal factor w against the round
-metric on S^n (n = 2 or 3).  One weighting, `_projective_weights`, serves
-every integral over projective space: it keeps the rule's first half, one
-node per antipodal pair, and multiplies those nodes' weights by the volume
-density w^{n/2} or the Dirichlet-energy weight w^{(n-2)/2}.  Every integrand
-is even, so this sum equals half the full-sphere sum.  Eigenvalues are
-computed by Galerkin projection onto even-degree spherical harmonics.  The
-basis values and tangential gradients at the projective nodes do not depend
-on w: they are computed once per (n, degree), and each factor only reweights
-them by the square roots of its weights into the Gram products that are the
-mass and stiffness matrices.  A Cholesky factorization of the mass matrix
+A metric is specified by a conformal factor w = scale * exp(u) against the
+round metric on S^n (n = 2 or 3), with u a finite expansion in even
+harmonics, so w is positive and even by construction.  One weighting,
+`_projective_weights`, serves every integral over projective space: it keeps
+the rule's first half, one node per antipodal pair, and multiplies those
+nodes' weights by the volume density w^{n/2} or the Dirichlet-energy weight
+w^{(n-2)/2}; it is also the one check that w is representable there.
+Every integrand is even, so this sum equals half the full-sphere sum.
+Eigenvalues are computed by Galerkin projection onto even-degree spherical
+harmonics.  The basis values and tangential gradients at the projective
+nodes do not depend on w: they are computed once per (n, degree), and each
+factor only reweights them by the square roots of its weights into the Gram
+products that are the mass and stiffness matrices.  A Cholesky factorization of the mass matrix
 inside the dense symmetric eigensolver reduces the generalized problem.
 """
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
 import math
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +29,7 @@ from .quadrature import build_sphere_rule, projective_volume
 
 __all__ = [
     "DEFAULT_BASIS_DEGREE",
+    "HarmonicExpansion",
     "ConformalFactor",
     "round_factor",
     "constant_factor",
@@ -40,85 +42,92 @@ __all__ = [
     "assemble_matrices",
     "eigenvalues",
     "EigenResult",
-    "EigenFunction",
     "first_excited_state",
     "cluster_eigenvalues",
 ]
 
 DEFAULT_BASIS_DEGREE = {2: 8, 3: 6}
-_EVEN_CHECK_SAMPLES = 64
-_EVEN_CHECK_SEED = 7
 _RULE_MARGIN = 8  # degrees of exactness beyond twice the basis degree
 
 
 @dataclass(frozen=True)
-class ConformalFactor:
-    """Positive even weight w on S^n defining the conformal metric w * g.
+class HarmonicExpansion:
+    """Scalar field given by harmonic-basis coefficients."""
 
-    `raw` evaluates the unscaled factor at sphere points; `scale` multiplies
-    it (normalize_volume adjusts only the scale).  `label` is carried into
-    reports; `coeffs` holds (degree, index, coefficient) triples when the
-    factor is exp(u) for a finite harmonic expansion u.
+    basis: harmonics.HarmonicBasis
+    coeffs: np.ndarray
+
+    def __call__(self, points):
+        return self.basis.evaluate(points) @ self.coeffs
+
+    def tangential_gradient(self, points):
+        return np.swapaxes(self.basis.tangential_gradients(points), 1, 2) @ self.coeffs
+
+
+@dataclass(frozen=True)
+class ConformalFactor:
+    """Positive even weight w = scale * exp(u) on S^n defining the metric w * g.
+
+    u, the `log`, is a finite expansion in even harmonics, so w is even and
+    positive by construction.  normalize_volume adjusts only the scale;
+    `label` is carried into reports.
     """
 
-    sphere_dim: int
-    raw: Callable[[np.ndarray], np.ndarray]
+    log: HarmonicExpansion
     scale: float = 1.0
     label: str = "custom"
-    coeffs: tuple = ()
+
+    @property
+    def sphere_dim(self):
+        return self.log.basis.sphere_dim
 
     def values(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.scale * np.asarray(self.raw(points), dtype=float)
-        return vals
+        return self.scale * np.exp(self.log(points))
 
     def density(self, points):
         """Volume density w^{n/2} against the round measure."""
         return self.values(points) ** (self.sphere_dim / 2.0)
 
-    def validate(self):
-        rng = np.random.default_rng(_EVEN_CHECK_SEED)
-        pts = rng.standard_normal((_EVEN_CHECK_SAMPLES, self.sphere_dim + 1))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        plus = self.values(pts)
-        minus = self.values(-pts)
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
-            raise DomainError(f"conformal factor '{self.label}' not finite")
-        if np.min(plus) <= 0.0:
-            raise DomainError(f"conformal factor '{self.label}' not positive")
-        dev = np.max(np.abs(plus - minus) / np.maximum(np.abs(plus), 1e-300))
-        if dev > 1e-12:
-            raise DomainError(
-                f"conformal factor '{self.label}' not even: relative deviation {dev:.3g}"
-            )
-        return self
+
+def _factor(n, label, terms=(), scale=1.0):
+    """scale * exp(u), u the sum of c * Y over the (degree, index, c) terms.
+
+    The one constructor of the factor families: harmonics.basis rejects any
+    dimension but 2 and 3, and the scale and every coefficient must be finite.
+    """
+    base = harmonics.basis(n, max((d for d, _, _ in terms), default=0))
+    coeffs = np.zeros(base.size)
+    for d, i, c in terms:
+        coeffs[base.index_of(d, i)] += c
+    if not (math.isfinite(scale) and np.all(np.isfinite(coeffs))):
+        raise DomainError(f"conformal factor '{label}' not finite")
+    if scale <= 0:
+        raise DomainError(f"conformal factor '{label}' not positive")
+    return ConformalFactor(HarmonicExpansion(base, coeffs), float(scale), label)
 
 
 def round_factor(n):
     """The round metric: w identically 1."""
-    return ConformalFactor(
-        sphere_dim=n, raw=lambda pts: np.ones(pts.shape[0]), label="round"
-    ).validate()
+    return _factor(n, "round")
 
 
 def constant_factor(n, value):
-    if value <= 0:
-        raise DomainError(f"constant conformal factor must be positive, got {value}")
-    return ConformalFactor(
-        sphere_dim=n,
-        raw=lambda pts: np.full(pts.shape[0], float(value)),
-        label=f"const:{value:g}",
-    ).validate()
+    return _factor(n, f"const:{value:g}", scale=value)
+
+
+@lru_cache(maxsize=None)
+def _zonal_quadratic(n):
+    """Degree-2 block coefficients of the harmonic quadratic y_n^2 - |y|^2 / (n+1)."""
+    block = harmonics.basis(n, 2).blocks[1]
+    exps = np.array(harmonics._monomial_exponents(n + 1, 2))
+    target = (exps[:, n] == 2) - (exps.max(axis=1) == 2) / (n + 1.0)
+    return np.linalg.lstsq(block.coeffs, target, rcond=None)[0]
 
 
 def zonal_factor(n, eps):
-    """w = exp(eps * (y_last^2 - 1/(n+1))): a zonal degree-2 perturbation."""
-    shift = 1.0 / (n + 1)
-
-    def raw(pts):
-        return np.exp(eps * (pts[:, -1] ** 2 - shift))
-
-    return ConformalFactor(sphere_dim=n, raw=raw, label=f"zonal:{eps:g}").validate()
+    """w = exp(eps * (y_n^2 - 1/(n+1))): a zonal degree-2 perturbation."""
+    terms = [(2, i, eps * c) for i, c in enumerate(_zonal_quadratic(n))]
+    return _factor(n, f"zonal:{eps:g}", terms)
 
 
 def harmonic_factor(n, triples):
@@ -132,22 +141,8 @@ def harmonic_factor(n, triples):
     triples = tuple((int(d), int(i), float(c)) for d, i, c in triples)
     if not triples:
         raise DomainError("empty harmonic coefficient list")
-    max_deg = max(d for d, _, _ in triples)
-    for d, i, _ in triples:
-        if d < 0 or d % 2:
-            raise DomainError(f"harmonic degrees must be even and >= 0, got {d}")
-    base = harmonics.basis(n, max_deg)
-    weights = np.zeros(base.size)
-    for d, i, c in triples:
-        weights[base.index_of(d, i)] += c
-
-    def raw(pts):
-        return np.exp(base.evaluate(pts) @ weights)
-
     label = "exp:" + ";".join(f"{d},{i},{c:g}" for d, i, c in triples)
-    return ConformalFactor(
-        sphere_dim=n, raw=raw, label=label, coeffs=triples
-    ).validate()
+    return _factor(n, label, triples)
 
 
 def parse_factor(text, n):
@@ -196,15 +191,23 @@ def _projective_weights(w, rule):
     The projective nodes are the rule's first half, one node per antipodal
     pair.  Returns (nodes, wv, mass, energy) with mass = rule weight *
     w^{n/2} and energy = rule weight * w^{(n-2)/2} at those nodes.  Raises
-    AssemblyError unless w is positive and finite at every node.
+    AssemblyError unless every mass weight is positive and their sum is
+    finite: an underflow of w reads as not positive, an overflow as not finite.
     """
     n = w.sphere_dim
     m = rule.size // 2
     nodes, weights = rule.nodes[:m], rule.weights[:m]
-    wv = w.values(nodes)
-    if np.min(wv) <= 0 or not np.all(np.isfinite(wv)):
+    # exp(u) underflows or overflows where |u| is large: the checks below
+    # report either, so numpy's overflow warning is silenced
+    with np.errstate(over="ignore"):
+        wv = w.values(nodes)
+        mass = weights * wv ** (n / 2.0)
+        total = np.sum(mass)
+    if not np.all(mass > 0):
         raise AssemblyError("conformal factor not positive at quadrature nodes")
-    return nodes, wv, weights * wv ** (n / 2.0), weights * wv ** ((n - 2) / 2.0)
+    if not np.isfinite(total):
+        raise AssemblyError("conformal factor not finite at quadrature nodes")
+    return nodes, wv, mass, weights * wv ** ((n - 2) / 2.0)
 
 
 def volume(w, rule=None):
@@ -272,20 +275,6 @@ def assemble_matrices(w, basis_degree=None):
 
 
 @dataclass(frozen=True)
-class EigenFunction:
-    """Scalar field given by harmonic-basis coefficients."""
-
-    basis: harmonics.HarmonicBasis
-    coeffs: np.ndarray
-
-    def __call__(self, points):
-        return self.basis.evaluate(points) @ self.coeffs
-
-    def tangential_gradient(self, points):
-        return np.swapaxes(self.basis.tangential_gradients(points), 1, 2) @ self.coeffs
-
-
-@dataclass(frozen=True)
 class EigenResult:
     """Ascending eigenvalues (with multiplicity) and mass-orthonormal vectors."""
 
@@ -343,7 +332,7 @@ def first_excited_state(result):
     count = cluster_eigenvalues(result.eigenvalues[1:])[0][1]
     vecs = result.vectors[:, 1 : 1 + count]
     row = vecs[np.flatnonzero(np.linalg.norm(vecs, axis=1) > 1e-8)[0]]
-    return EigenFunction(basis=result.basis, coeffs=vecs @ row / np.linalg.norm(row))
+    return HarmonicExpansion(basis=result.basis, coeffs=vecs @ row / np.linalg.norm(row))
 
 
 def cluster_eigenvalues(values, tol=1e-6):

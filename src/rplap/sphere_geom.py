@@ -9,7 +9,8 @@ The public maps validate their inputs (open-ball shifts, unit sphere points)
 and snap sphere rows back onto the sphere.  Each has a private kernel with
 the same arithmetic that trusts its caller: no conversion, no validation, and
 renormalization only of the rows its `unit` argument (True, False or a per-row
-mask) flags.  Inner loops call the kernels on points they made themselves.
+mask) flags; the cap maps take unit rows only and always renormalize.  Inner
+loops call the kernels on points they made themselves.
 """
 
 import numpy as np
@@ -221,41 +222,58 @@ class SphericalCap:
         return f"SphericalCap(pole={self.pole!r}, t={self.t!r})"
 
 
-def _cap_reflect(cap, y, unit):
-    shift = cap.t * cap.pole
-    inner = _moebius(-shift, y, unit)
-    return _moebius(shift, _reflect(inner, cap.pole, unit), unit)
+def _cap_terms(cap, y):
+    # the half-step distances m = y - tp, d = y - p, q = y + p at unit rows y,
+    # their squared norms, and D = |m|^4 + t^2 |d|^2 |q|^2, which equals
+    # (1 + t^2)^2 |y - sp|^2 with s = 2t / (1 + t^2) but is a sum of two
+    # non-negative terms, so it does not cancel as t -> 1
+    m, d, q = y - cap.t * cap.pole, y - cap.pole, y + cap.pole
+    mm, dd, qq = (np.sum(a * a, axis=-1, keepdims=True) for a in (m, d, q))
+    return m, d, q, mm, dd, qq, mm * mm + cap.t**2 * dd * qq
+
+
+def _cap_image(cap, d, dd, denom):
+    # R(y) = ((1 - t^2)^2 d + ((1 + t^2)^2 |d|^2 - (1 - t)^4) p) / D, unsnapped
+    t = cap.t
+    return ((1.0 - t * t) ** 2 * d + ((1.0 + t * t) ** 2 * dd - (1.0 - t) ** 4) * cap.pole) / denom
+
+
+def _cap_reflect(cap, y):
+    _, d, _, _, dd, _, denom = _cap_terms(cap, y)
+    return _snap(_cap_image(cap, d, dd, denom), True)
 
 
 def cap_reflect(cap, y):
     """Conformal reflection across the cap boundary, sending pole -> -pole.
 
-    Conjugate of the linear reflection across pole^perp by the Moebius
-    translation T_{t*pole}; fixes the boundary circle of the cap pointwise
-    and swaps the cap with its complement.
+    Conjugate T_{tp} o L_p o T_{-tp} of the linear reflection L_p across
+    pole^perp by the Moebius translation T_{tp}; since T_{-tp} o T_{-tp} =
+    T_{-sp} with s = 2t / (1 + t^2) and L_p T_{tp} L_p = T_{-tp}, it equals
+    L_p o T_{-sp}, computed in closed form.  Fixes the boundary circle of the
+    cap pointwise and swaps the cap with its complement.  Unit rows only.
     """
-    y = np.asarray(y, dtype=float)
-    return _cap_reflect(cap, y, _on_sphere(y))
+    return _cap_reflect(cap, as_unit(y, tol=SPHERE_DETECT_TOL))
 
 
 def _cap_reflect_differential(cap, y, v):
-    # the product of differentials along T_{tp} o R_p o T_{-tp}; R_p is linear
-    shift = cap.t * cap.pole
-    mirror = np.eye(y.shape[-1]) - 2.0 * np.outer(cap.pole, cap.pole)
-    outer = _reflect(_moebius(-shift, y, False), cap.pole, False)
-    return _moebius_differential(shift, outer, mirror @ _moebius_differential(-shift, y, v))
+    # DR(y) v = ((1 - t^2)^2 v + 2 (1 + t^2)^2 (d.v) p - R(y) (grad D . v)) / D
+    # on columns v (N, m, k) tangent at unit rows y (N, m), where
+    # grad D . v = 4 |m|^2 (m.v) + 2 t^2 (|q|^2 (d.v) + |d|^2 (q.v))
+    m, d, q, mm, dd, qq, denom = _cap_terms(cap, y)
+    t2 = cap.t * cap.t
+    mv, dv, qv = (a[..., None, :] @ v for a in (m, d, q))
+    slope = 4.0 * mm[..., None] * mv + 2.0 * t2 * (qq[..., None] * dv + dd[..., None] * qv)
+    numer = (1.0 - t2) ** 2 * v + 2.0 * (1.0 + t2) ** 2 * cap.pole[..., :, None] * dv
+    return (numer - _cap_image(cap, d, dd, denom)[..., :, None] * slope) / denom[..., None]
 
 
 def _cap_reflect_factor(cap, s):
-    shift = cap.t * cap.pole
-    outer = _reflect(_moebius(-shift, s, True), cap.pole, True)
-    # outer is renormalized, as moebius_factor's validation does: the
-    # denominator |x + s|^2 of _moebius_factor holds for unit s only
-    return _moebius_factor(shift, _snap(outer, True)) * _moebius_factor(-shift, s)
+    # the stretch (1 - t^2)^2 / D at unit rows s
+    return ((1.0 - cap.t**2) ** 2 / _cap_terms(cap, s)[-1])[..., 0]
 
 
 def _fold(cap, y):
-    reflected = _cap_reflect(cap, y, True)
+    reflected = _cap_reflect(cap, y)
     return np.where(cap.contains(y)[..., None], y, reflected)
 
 

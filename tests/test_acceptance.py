@@ -122,7 +122,7 @@ def test_criterion_4_energy_chain(capsys):
             ok = ok and stage.passed
             if stage.stage_id in (
                 "unit-image", "denominator-sum", "numerators-fd-vs-analytic",
-                "energy-vs-split-volume", "frame-identity",
+                "conformal-invariance", "energy-vs-split-volume", "frame-identity",
             ):
                 ok = ok and stage.tolerance <= 1e-10
             if stage.stage_id == "final-constant":

@@ -2,6 +2,7 @@ import json
 import pathlib
 import re
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,34 @@ def test_rayleigh_chain_on_the_circle_is_a_config_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("configuration error") and "dimension" in err
+
+
+def test_com_solve_with_a_heavy_atom_is_a_numerical_failure(capsys):
+    # the degree-12 rule puts half the factor's mass on one node
+    code, out, err = run(
+        capsys, "com-solve", "--dim", "2", "--factor", "exp:2,0,10", "--degree", "12"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure") and "half the mass" in err
+
+
+@pytest.mark.parametrize("spec", ["const:inf", "zonal:nan"])
+def test_non_finite_factor_is_a_config_error(capsys, spec):
+    code, out, err = run(capsys, "theorem-check", "--factor", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and "not finite" in err
+
+
+def test_overflowing_factor_is_a_numerical_failure_without_warnings(capsys):
+    # a valid expansion whose exponential floating point cannot hold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "theorem-check", "--factor", "exp:2,0,1000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure") and "quadrature nodes" in err
 
 
 def test_com_solve_pushforward_mode(capsys):

@@ -241,9 +241,10 @@ def _closed_form_tables():
 
 
 def test_limit_rows_match_their_closed_forms():
-    for rows, exact in _closed_form_tables():
+    # the fold rows to 1e-12, the Moebius rows to 1e-10
+    for k, (rows, exact) in enumerate(_closed_form_tables()):
         for row in rows:
-            npt.assert_allclose(row.volume, exact(row.parameter), rtol=1e-10)
+            npt.assert_allclose(row.volume, exact(row.parameter), rtol=1e-12 if k < 2 else 1e-10)
 
 
 def test_quad_error_bounds_the_true_error():

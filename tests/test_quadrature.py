@@ -13,7 +13,6 @@ from rplap.quadrature import (
     _gauss_legendre,
     build_sphere_rule,
     graded_interval_rule,
-    integrate,
     interval_rule,
     product_rectangle_rule,
     projective_volume,
@@ -68,7 +67,8 @@ def test_monomial_exactness(n, alpha):
             out *= pts[:, i] ** a
         return out
 
-    npt.assert_allclose(integrate(rule, mono), sphere_monomial_integral(alpha), rtol=1e-12)
+    total = math.fsum((rule.weights * mono(rule.nodes)).tolist())
+    npt.assert_allclose(total, sphere_monomial_integral(alpha), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,7 +10,6 @@ from rplap.errors import AssemblyError, ConfigError, DomainError
 from rplap.quadrature import projective_volume
 from rplap.sphere_geom import SphericalCap
 from rplap.spectral import (
-    ConformalFactor,
     assemble_matrices,
     cluster_eigenvalues,
     constant_factor,
@@ -102,8 +101,13 @@ def test_parse_factor_grammar():
     assert parse_factor("zonal:0.4", 3).label.startswith("zonal")
     assert parse_factor("const:2", 2).label == "const:2"
     mixed = parse_factor("exp:2,0,0.3;4,1,0.1", 2)
-    assert mixed.coeffs == ((2, 0, 0.3), (4, 1, 0.1))
-    for bad in ("triangle", "zonal:abc", "exp:1,0,0.1", "const:-1"):
+    base = mixed.log.basis
+    expected = np.zeros(base.size)
+    expected[[base.index_of(2, 0), base.index_of(4, 1)]] = [0.3, 0.1]
+    assert (base.max_degree, mixed.scale) == (4, 1.0)
+    assert np.array_equal(mixed.log.coeffs, expected)
+    for bad in ("triangle", "zonal:abc", "exp:1,0,0.1", "const:-1", "const:0", "const:inf",
+                "zonal:nan", "exp:2,0,inf"):
         with pytest.raises(ConfigError):
             parse_factor(bad, 2)
 
@@ -147,21 +151,47 @@ def test_cluster_eigenvalues_grouping():
 
 
 def test_assembly_rejects_nonpositive_factor():
-    bad = ConformalFactor(sphere_dim=2, raw=lambda pts: pts[:, 2], label="signed")
-    with pytest.raises(AssemblyError):
+    # exp(u) of a valid expansion underflows to 0 where u << 0: not positive
+    # at the nodes, a numerical failure, and not caught before them
+    bad = harmonic_factor(2, [(0, 0, -2500.0)])
+    with pytest.raises(AssemblyError, match="not positive"):
         eigenvalues(bad)
-    with pytest.raises(DomainError):
-        bad.validate()
     # every projective integral goes through the same positivity check
-    bad = ConformalFactor(sphere_dim=3, raw=lambda pts: pts[:, 3], label="signed")
+    bad = harmonic_factor(3, [(0, 0, -2500.0)])
     cap = SphericalCap(veronese_apply(3, np.eye(4)[:1])[0], 0.3)
     for integral in (volume, normalize_volume):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(AssemblyError, match="not positive"):
             integral(bad)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError, match="not positive"):
         rayleigh_chain(bad, cap)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError, match="not positive"):
         pushforward_measure(bad, cap)
+
+
+@pytest.mark.parametrize("n, coeff", [(2, 2500.0), (3, 2500.0), (2, 1775.0)])
+def test_overflowing_factor_is_not_finite_at_the_nodes(n, coeff, recwarn):
+    # exp(u) overflows at every node, or (2, 1775) stays finite at each node
+    # while the metric volume overflows
+    w = harmonic_factor(n, [(0, 0, coeff)])
+    for integral in (volume, normalize_volume, eigenvalues):
+        with pytest.raises(AssemblyError, match="not finite"):
+            integral(w)
+    assert not [warning for warning in recwarn if warning.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_family_is_scale_times_exp_of_an_even_expansion(n, rng):
+    pts = rng.normal(size=(50, n + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    zonal = zonal_factor(n, 0.7)
+    npt.assert_allclose(
+        zonal.values(pts), np.exp(0.7 * (pts[:, n] ** 2 - 1.0 / (n + 1))), rtol=1e-14
+    )
+    npt.assert_allclose(zonal.log(pts), zonal.log(-pts), rtol=0, atol=1e-15)
+    assert zonal.log.basis.max_degree == 2
+    for w, scale in ((round_factor(n), 1.0), (constant_factor(n, 2.5), 2.5)):
+        assert (w.log.basis.max_degree, w.scale, w.sphere_dim) == (0, scale, n)
+        assert np.array_equal(w.values(pts), np.full(50, scale))
 
 
 @pytest.mark.parametrize(

@@ -212,10 +212,6 @@ def ball_rows(raw, radius=0.9):
     return radius * raw / (1.0 + np.linalg.norm(raw, axis=1, keepdims=True))
 
 
-def mirror_of(raw):
-    return raw if np.linalg.norm(raw) >= 1e-2 else np.eye(raw.shape[0])[0]
-
-
 @given(coords(4), arrays(np.float64, (5, 4), elements=st.floats(-1.0, 1.0)))
 def test_kernels_equal_their_wrappers_on_sphere_points(x, raw):
     x = ball_rows(x)[0]
@@ -225,14 +221,11 @@ def test_kernels_equal_their_wrappers_on_sphere_points(x, raw):
     npt.assert_array_equal(sg._moebius_factor(x, s), moebius_factor(x, y))
 
 
-@given(coords(4), arrays(np.float64, (5, 4), elements=st.floats(-1.0, 1.0)), coords(4))
-def test_kernels_equal_their_wrappers_on_ball_points(x, raw, mirror):
+@given(coords(4), arrays(np.float64, (5, 4), elements=st.floats(-1.0, 1.0)))
+def test_kernels_equal_their_wrappers_on_ball_points(x, raw):
     x = ball_rows(x)[0]
     y = ball_rows(raw)
-    mirror = mirror_of(mirror)
-    cap = SphericalCap(unit_rows(mirror)[0], 0.5)
     npt.assert_array_equal(sg._moebius(x, y, False), moebius_apply(x, y))
-    npt.assert_array_equal(sg._cap_reflect(cap, y, False), cap_reflect(cap, y))
 
 
 @given(st.floats(0.0, 0.9), coords(3), arrays(np.float64, (6, 3), elements=st.floats(-1.0, 1.0)))
@@ -240,7 +233,7 @@ def test_cap_kernels_equal_their_wrappers(t, pole, raw):
     cap = SphericalCap(unit_rows(pole)[0], t)
     y = unit_rows(raw)
     s = as_unit(y, tol=SPHERE_DETECT_TOL)
-    npt.assert_array_equal(sg._cap_reflect(cap, y, True), cap_reflect(cap, y))
+    npt.assert_array_equal(sg._cap_reflect(cap, s), cap_reflect(cap, y))
     npt.assert_array_equal(sg._fold(cap, s), fold_apply(cap, y))
     npt.assert_array_equal(sg._fold_factor(cap, s), fold_factor(cap, y))
 
@@ -268,19 +261,13 @@ def test_central_differences_recover_a_linear_map(matrix, seed):
 # --- exact differentials --------------------------------------------------------
 
 
-def assert_differential_matches_central_differences(func, differential, sphere_rows, rng):
-    # on the sphere along tangent frames; inside the ball along every axis,
-    # where the terms in y.v count as well.  Errors are taken relative to each
-    # row's largest entry: the stretch here spans 1/361 to 361.
-    ball = ball_rows(rng.normal(size=sphere_rows.shape))
-    axes = np.eye(sphere_rows.shape[1])[None]
-    for y, directions, on_sphere in ((sphere_rows, tangent_basis(sphere_rows), True), (ball, axes, False)):
-        cols = sg._central_differences(
-            lambda p: func(p, on_sphere), y, directions, FD_STEP, on_sphere
-        )
-        exact = differential(y, directions)
-        scale = np.max(np.abs(exact), axis=(1, 2), keepdims=True)
-        npt.assert_array_less(np.abs(exact - cols) / scale, 1e-6)
+def assert_columns_match_central_differences(func, differential, y, directions, on_sphere):
+    # errors are taken relative to each row's largest entry: the stretch here
+    # spans 1/361 to 361
+    cols = sg._central_differences(lambda p: func(p, on_sphere), y, directions, FD_STEP, on_sphere)
+    exact = differential(y, directions)
+    scale = np.max(np.abs(exact), axis=(1, 2), keepdims=True)
+    npt.assert_array_less(np.abs(exact - cols) / scale, 1e-6)
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5]), st.floats(0.0, 0.95))
@@ -289,12 +276,17 @@ def test_moebius_differential_matches_central_differences(seed, dim, radius):
     x = radius * unit_rows(rng.normal(size=dim))[0]
     # -x/|x| is the point of largest stretch, (1 + |x|) / (1 - |x|)
     y = np.concatenate([-unit_rows(x), unit_rows(rng.normal(size=(7, dim)))])
-    assert_differential_matches_central_differences(
-        lambda p, unit: sg._moebius(x, p, unit),
-        lambda p, v: sg._moebius_differential(x, p, v),
-        y,
-        rng,
-    )
+    # on the sphere along tangent frames; inside the ball along every axis,
+    # where the terms in y.v count as well
+    ball = ball_rows(rng.normal(size=y.shape))
+    for rows, directions, on_sphere in ((y, tangent_basis(y), True), (ball, np.eye(dim)[None], False)):
+        assert_columns_match_central_differences(
+            lambda p, unit: sg._moebius(x, p, unit),
+            lambda p, v: sg._moebius_differential(x, p, v),
+            rows,
+            directions,
+            on_sphere,
+        )
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5]), st.floats(0.0, 0.9))
@@ -303,12 +295,27 @@ def test_cap_reflect_differential_matches_central_differences(seed, dim, t):
     cap = SphericalCap(unit_rows(rng.normal(size=dim))[0], t)
     # the pole is the point of largest stretch, ((1 + t) / (1 - t))^2
     y = np.concatenate([cap.pole[None], unit_rows(rng.normal(size=(7, dim)))])
-    assert_differential_matches_central_differences(
-        lambda p, unit: sg._cap_reflect(cap, p, unit),
+    # the cap reflection takes unit rows: along tangent frames only
+    assert_columns_match_central_differences(
+        lambda p, _: sg._cap_reflect(cap, p),
         lambda p, v: sg._cap_reflect_differential(cap, p, v),
         y,
-        rng,
+        tangent_basis(y),
+        True,
     )
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([3, 5]), st.floats(0.0, 0.9))
+def test_cap_reflect_closed_form_matches_the_moebius_conjugate(seed, dim, t):
+    # cap_reflect = T_{tp} o L_p o T_{-tp}, written with the Moebius and mirror kernels
+    rng = np.random.default_rng(seed)
+    cap = SphericalCap(unit_rows(rng.normal(size=dim))[0], t)
+    y = np.concatenate([cap.pole[None], -cap.pole[None], unit_rows(rng.normal(size=(16, dim)))])
+    shift = t * cap.pole
+    mirrored = sg._reflect(sg._moebius(-shift, y, True), cap.pole, True)
+    npt.assert_allclose(cap_reflect(cap, y), sg._moebius(shift, mirrored, True), rtol=0, atol=1e-12)
+    stretch = sg._moebius_factor(shift, mirrored) * sg._moebius_factor(-shift, y)
+    npt.assert_allclose(sg._cap_reflect_factor(cap, y), stretch, rtol=1e-12)
 
 
 # --- the stereographic chart at the cap pole -----------------------------------

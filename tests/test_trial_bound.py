@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import rplap
 from rplap import spectral, sphere_geom as sg, trial_bound
-from rplap.errors import DomainError
-from rplap.quadrature import projective_volume
+from rplap.errors import DomainError, NumericError
+from rplap.quadrature import build_sphere_rule, projective_volume
 from rplap.sphere_geom import SphericalCap, moebius_apply
 from rplap.spectral import round_factor, volume, zonal_factor
 from rplap.trial_bound import (
@@ -104,6 +104,17 @@ def test_round_pushforward_mass_is_projective_volume():
     cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.5)
     m = pushforward_measure(round_factor(2), cap)
     npt.assert_allclose(m.mass, projective_volume(2), rtol=1e-12)
+
+
+def test_a_heavy_atom_of_a_computed_measure_is_a_numerical_failure():
+    # valid input that the rule is too coarse for: one node carries half the
+    # mass, where a hand-built measure's heavy atom stays a DomainError
+    w, rule = spectral.parse_factor("exp:2,0,10", 2), build_sphere_rule(2, 12)
+    cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.3)
+    with pytest.raises(NumericError, match="half the mass"):
+        pushforward_measure(w, cap, rule=rule)
+    with pytest.raises(NumericError, match="half the mass"):
+        rayleigh_chain(w, cap, rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +337,10 @@ def test_chain_rejects_a_center_outside_the_open_ball():
 
 
 def test_chain_rejects_the_circle():
-    # RP^1 lies outside the theorem's dimensions: a domain error, not a failed stage
-    cap = SphericalCap(veronese_apply(1, np.eye(2)[:1])[0], 0.0)
-    with pytest.raises(DomainError, match="n >= 2"):
-        rayleigh_chain(round_factor(1), cap)
+    # RP^1 lies outside the theorem's dimensions: a domain error, raised by the
+    # factor before any chain stage runs
+    with pytest.raises(DomainError, match="dimension"):
+        round_factor(1)
 
 
 def test_chain_frame_identity_covers_the_reflected_branch(monkeypatch):

@@ -11,7 +11,9 @@ basis a continuous function of the monomial integrals.  Explicit monomial
 coefficients give exact evaluation and exact ambient gradients: one
 recursive table holds the monomials of every degree at the points (level k is
 level k-1 times one coordinate), and each block maps its level to values and
-the level below to gradients with one matrix product each.
+the level below to gradients with one matrix product each.  Each ambient
+partial of a degree-k harmonic is a harmonic of degree k - 1, so the partials
+of the even basis are fixed linear maps onto the odd harmonics below it.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, NumericError
 
-__all__ = ["HarmonicBasis", "basis", "harmonic_space_dim", "round_eigenvalue"]
+__all__ = ["HarmonicBasis", "basis", "gradient_maps", "harmonic_space_dim", "round_eigenvalue"]
 
 
 def round_eigenvalue(degree, n):
@@ -140,7 +142,9 @@ def _harmonic_block(n, degree):
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Even-degree harmonic basis on S^n up to a maximal degree.
+    """Harmonic basis on S^n of one parity up to a maximal degree.
+
+    `basis` gives the even degrees; `gradient_maps` the odd ones below them.
 
     Functions are indexed by (degree block, position inside block); the mass
     matrix over projective space (half sphere) is the identity.
@@ -208,3 +212,31 @@ def basis(n, max_degree):
         raise DomainError(f"max_degree must be even and >= 0, got {max_degree}")
     blocks = tuple(_harmonic_block(n, deg) for deg in range(0, max_degree + 1, 2))
     return HarmonicBasis(sphere_dim=n, max_degree=max_degree, blocks=blocks)
+
+
+@lru_cache(maxsize=None)
+def gradient_maps(n, max_degree):
+    """Odd basis Z of degrees 1, 3, ..., max_degree - 1 and maps C of shape (d, Z.size, size).
+
+    For the even basis Y = basis(n, max_degree), the ambient partial d_a Y is
+    Z C[a] exactly: a harmonic of degree k - 1 is fixed by its coefficients on
+    the monomials with y_0 exponent at most 1, where the block coefficients are
+    an invertible triangle.  C is read-only.
+    """
+    even = basis(n, max_degree)
+    odd = HarmonicBasis(
+        sphere_dim=n,
+        max_degree=max_degree - 1,
+        blocks=tuple(_harmonic_block(n, deg) for deg in range(1, max_degree, 2)),
+    )
+    d = n + 1
+    maps = np.zeros((d, odd.size, even.size))
+    row, col = 0, even.blocks[0].coeffs.shape[1]  # degree 0 has no gradient
+    for lower, upper in zip(odd.blocks, even.blocks[1:]):
+        rows, cols = lower.coeffs.shape[1], upper.coeffs.shape[1]
+        free = np.array(_monomial_exponents(d, lower.degree))[:, 0] <= 1
+        partials = np.linalg.solve(lower.coeffs[free], upper.grad_coeffs[free])
+        maps[:, row : row + rows, col : col + cols] = partials.reshape(rows, d, cols).swapaxes(0, 1)
+        row, col = row + rows, col + cols
+    maps.flags.writeable = False
+    return odd, maps

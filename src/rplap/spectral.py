@@ -9,23 +9,31 @@ nodes' weights by the volume density w^{n/2} or the Dirichlet-energy weight
 w^{(n-2)/2}; it is also the one check that w is representable there.
 Every integrand is even, so this sum equals half the full-sphere sum.
 Eigenvalues are computed by Galerkin projection onto even-degree spherical
-harmonics.  The basis values and tangential gradients at the projective
-nodes do not depend on w: they are computed once per (n, degree), and each
-factor only reweights them by the square roots of its weights into the Gram
-products that are the mass and stiffness matrices.  A Cholesky factorization of the mass matrix
-inside the dense symmetric eigensolver reduces the generalized problem.
+harmonics.  The mass matrix is the Gram product of the basis values at the
+projective nodes, reweighted per factor by the square roots of its weights;
+those values do not depend on w and are computed once per (n, degree).  The
+stiffness needs no gradient table.  In n = 2 the energy weight is 1, so the
+stiffness does not depend on w either: diag(k(k+1)) up to the basis's
+rounding, computed once per degree.  In n = 3 each ambient partial of a basis
+function is a fixed combination of the odd harmonics one degree lower, so
+the stiffness is two more weighted Gram products, of the odd and the even
+values, mapped through those fixed combinations.  A Cholesky factorization
+of the mass matrix inside the dense symmetric eigensolver reduces the
+generalized problem.
 """
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
 import math
+import sys
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from . import harmonics
 from .errors import AssemblyError, ConfigError, DomainError, NumericError
-from .quadrature import build_sphere_rule, projective_volume
+from .quadrature import QuadratureRule, build_sphere_rule, projective_volume
 
 __all__ = [
     "DEFAULT_BASIS_DEGREE",
@@ -222,56 +230,97 @@ def normalize_volume(w, rule=None):
     """Rescale w so the metric volume equals the round projective volume.
 
     Only the scalar scale changes; applying the operation twice is a no-op.
+    A volume below the smallest normal float has lost its precision, and one
+    whose rescaled scale overflows cannot be rescaled: either is an
+    AssemblyError, worded as the underflow of w it comes from.
     """
-    target = projective_volume(w.sphere_dim)
     current = volume(w, rule=rule)
-    if current <= 0 or not math.isfinite(current):
-        raise DomainError(f"conformal volume not positive: {current}")
-    bump = (target / current) ** (2.0 / w.sphere_dim)
-    return replace(w, scale=w.scale * bump)
+    scale = w.scale * (projective_volume(w.sphere_dim) / current) ** (2.0 / w.sphere_dim)
+    if current < sys.float_info.min or not math.isfinite(scale):
+        raise AssemblyError("conformal factor not positive at quadrature nodes")
+    return replace(w, scale=scale)
+
+
+@dataclass(frozen=True)
+class _BasisTables:
+    """Read-only tables at the default rule's projective nodes, fixed per (n, degree).
+
+    values (N, size) holds the even basis Y.  For n = 2, stiffness is the
+    stiffness matrix, which does not depend on the factor.  For n = 3,
+    odd_values (N, odd size) holds the odd basis Z of harmonics.gradient_maps
+    and maps its C, with the ambient partial d_a Y = Z C[a].
+    """
+
+    rule: QuadratureRule
+    values: np.ndarray
+    stiffness: Optional[np.ndarray] = None
+    odd_values: Optional[np.ndarray] = None
+    maps: Optional[np.ndarray] = None
+
+
+def _gram(table, weight):
+    """G^T G for G = table * sqrt(weight) row by row: exactly symmetric."""
+    rows = table * np.sqrt(weight)[:, None]
+    return rows.T @ rows
 
 
 @lru_cache(maxsize=None)
 def _basis_tables(n, basis_degree):
-    """Read-only (rule, values, grads): the basis values (N, size) and C-contiguous
-    tangential gradients (N, d, size) at the default rule's projective nodes."""
     if basis_degree < 2 or basis_degree % 2:
         raise DomainError(f"basis degree must be even and >= 2, got {basis_degree}")
     rule, base = default_rule(n, basis_degree), harmonics.basis(n, basis_degree)
-    nodes = rule.nodes[: rule.size // 2]
-    values = base.evaluate(nodes)
-    grads = np.swapaxes(base.tangential_gradients(nodes), 1, 2)
-    for array in (rule.nodes, rule.weights, values, grads):
-        array.flags.writeable = False
-    return rule, values, grads
+    m = rule.size // 2
+    values = base.evaluate(rule.nodes[:m])
+    stiffness = odd_values = maps = None
+    if n == 2:
+        # Green's identity on the sphere, exact under the rule: the gradient
+        # Gram is the value Gram scaled by sqrt(k_i(k_i+1) k_j(k_j+1))
+        roots = np.sqrt(base.degrees * (base.degrees + 1.0))
+        stiffness = _gram(values * roots, rule.weights[:m])
+    else:
+        odd, maps = harmonics.gradient_maps(n, basis_degree)
+        odd_values = odd.evaluate(rule.nodes[:m])
+    for array in (rule.nodes, rule.weights, values, stiffness, odd_values):
+        if array is not None:
+            array.flags.writeable = False
+    return _BasisTables(rule, values, stiffness, odd_values, maps)
 
 
 def assemble_matrices(w, basis_degree=None):
     """Galerkin stiffness/mass matrices over the even-harmonic basis.
 
-    Returns (stiffness, mass, basis, rule).  Stiffness entries integrate
-    grad Y_i . grad Y_j w^{(n-2)/2}; mass entries Y_i Y_j w^{n/2}; both over
-    projective space (one node per antipodal pair), as exactly symmetric Gram
-    products G^T G of the cached basis tables reweighted by the square roots
-    of those weights.  The mass matrix must be positive definite.
+    Returns (stiffness, mass, basis, rule).  Mass entries integrate
+    Y_i Y_j w^{n/2} over projective space (one node per antipodal pair), a
+    Gram product of the cached value table.  Stiffness entries integrate
+    grad Y_i . grad Y_j w^{(n-2)/2}.  For n = 2 that weight is 1: the
+    stiffness is the cached one, diag(k(k+1)) up to the basis's rounding.
+    For n = 3, on the unit sphere grad_T Y_i . grad_T Y_j = sum_a d_a Y_i
+    d_a Y_j - k_i k_j Y_i Y_j, so with phi = w^{1/2} the same quadrature sums
+    regroup into K = sum_a C_a^T M^odd_phi C_a - D M_phi D: Gram products of
+    the odd and even value tables, D = diag(k).  Both matrices are exactly
+    symmetric; the mass matrix must be positive definite.
     """
     n = w.sphere_dim
     basis_degree = _basis_degree(n, basis_degree)
-    rule, values, grads = _basis_tables(n, basis_degree)
+    tables = _basis_tables(n, basis_degree)
     base = harmonics.basis(n, basis_degree)
-    _, _, mass_weight, energy_weight = _projective_weights(w, rule)
-    rows = values * np.sqrt(mass_weight)[:, None]
-    mass = rows.T @ rows
-    # rows (node, axis) of the (N, d, size) block
-    grads = (grads * np.sqrt(energy_weight)[:, None, None]).reshape(-1, base.size)
-    stiffness = grads.T @ grads
+    _, _, mass_weight, energy_weight = _projective_weights(w, tables.rule)
+    mass = _gram(tables.values, mass_weight)
+    if n == 2:
+        stiffness = tables.stiffness.copy()
+    else:
+        maps = tables.maps.reshape(-1, base.size)
+        partials = (_gram(tables.odd_values, energy_weight) @ tables.maps).reshape(-1, base.size)
+        stiffness = maps.T @ partials
+        stiffness -= np.outer(base.degrees, base.degrees) * _gram(tables.values, energy_weight)
+        stiffness = 0.5 * (stiffness + stiffness.T)
     try:
         scipy.linalg.cholesky(mass)
     except scipy.linalg.LinAlgError as exc:
         raise AssemblyError(
             "mass matrix not positive definite; quadrature too coarse for the basis"
         ) from exc
-    return stiffness, mass, base, rule
+    return stiffness, mass, base, tables.rule
 
 
 @dataclass(frozen=True)

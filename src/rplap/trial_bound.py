@@ -625,7 +625,7 @@ def theorem_check(w, basis_degree=None, include_gap=False):
     """
     n = w.sphere_dim
     basis_degree = spectral._basis_degree(n, basis_degree)
-    rule, _, _ = spectral._basis_tables(n, basis_degree)
+    rule = spectral._basis_tables(n, basis_degree).rule
     normalized = spectral.normalize_volume(w, rule=rule)
     result = spectral.eigenvalues(normalized, basis_degree)
     lam2 = float(result.eigenvalues[2])

@@ -183,6 +183,14 @@ def test_overflowing_factor_is_a_numerical_failure_without_warnings(capsys):
     assert err.startswith("numerical failure") and "quadrature nodes" in err
 
 
+def test_subnormal_volume_is_a_numerical_failure(capsys):
+    # exp(u) stays positive at every node, but the volume is subnormal
+    code, out, err = run(capsys, "theorem-check", "--dim", "3", "--factor", "exp:0,0,-1500")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure") and "not positive" in err
+
+
 def test_com_solve_pushforward_mode(capsys):
     code, out, _ = run(capsys, "com-solve", "--dim", "2", "--factor", "round", "--t", "0.4")
     assert code == 0

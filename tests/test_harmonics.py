@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rplap import harmonics
+from rplap import harmonics, spectral
 from rplap.errors import DomainError
 from rplap.harmonics import _monomial_exponents, basis, harmonic_space_dim, round_eigenvalue
 from rplap.quadrature import build_sphere_rule
@@ -180,11 +180,14 @@ def test_each_harmonic_is_led_by_its_own_free_monomial(n, max_degree):
 
 @pytest.fixture
 def rebuilt_blocks():
-    """Empty the harmonic block caches now, on request, and after the test."""
+    """Empty the harmonic block caches and the tables built from them now, on
+    request, and after the test."""
 
     def clear():
         harmonics._harmonic_block.cache_clear()
         harmonics.basis.cache_clear()
+        harmonics.gradient_maps.cache_clear()
+        spectral._basis_tables.cache_clear()
 
     clear()
     yield clear
@@ -209,3 +212,17 @@ def test_exp_spectra_ignore_the_last_ulp_of_the_monomial_integrals(rebuilt_block
     )
     for before, after in zip(exact, spectra()):
         assert np.max(np.abs(after - before)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("max_degree", [2, 4, 6, 8, 10])
+def test_gradient_maps_reproduce_the_tangential_gradients(n, max_degree, rng):
+    # d_a Y = Z C[a] with Z odd, and grad_T Y = grad Y - k Y y on the sphere
+    pts = rng.normal(size=(40, n + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    even = basis(n, max_degree)
+    odd, maps = harmonics.gradient_maps(n, max_degree)
+    assert list(odd.degrees) == [k for k in range(1, max_degree, 2) for _ in range(harmonic_space_dim(n, k))]
+    ambient = np.einsum("np,apj->nja", odd.evaluate(pts), maps)
+    got = ambient - (even.evaluate(pts) * even.degrees)[:, :, None] * pts[:, None, :]
+    assert np.max(np.abs(got - even.tangential_gradients(pts))) <= 1e-12

@@ -1,9 +1,11 @@
 from dataclasses import replace
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from rplap import harmonics, spectral
 from rplap.errors import AssemblyError, ConfigError, DomainError
@@ -23,7 +25,7 @@ from rplap.spectral import (
     volume,
     zonal_factor,
 )
-from rplap.trial_bound import pushforward_measure, rayleigh_chain
+from rplap.trial_bound import pushforward_measure, rayleigh_chain, theorem_check
 from rplap.veronese import veronese_apply
 
 # regression anchor: zonal:0.5 on S^2, basis degree 8, unnormalized
@@ -214,8 +216,9 @@ def test_gram_assembly_matches_the_einsum_reference(n, spec):
         assert np.array_equal(got, got.T)
 
 
-def _fresh_assembly(w, basis_degree):
-    """(stiffness, mass) from basis tables evaluated afresh at the default rule."""
+def _gradient_gram_assembly(w, basis_degree):
+    """(stiffness, mass) as Gram products of freshly evaluated basis values and
+    tangential gradients at the default rule's projective nodes."""
     n = w.sphere_dim
     rule = default_rule(n, basis_degree)
     base = harmonics.basis(n, basis_degree)
@@ -229,6 +232,10 @@ def _fresh_assembly(w, basis_degree):
     return grads.T @ grads, rows.T @ rows
 
 
+def _relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("n, spec", [(2, "zonal:0.5"), (3, "exp:2,0,0.2")])
 @pytest.mark.parametrize("extra", [0, 2])
 def test_cached_tables_assemble_bitwise_the_fresh_matrices(n, spec, extra):
@@ -237,19 +244,109 @@ def test_cached_tables_assemble_bitwise_the_fresh_matrices(n, spec, extra):
     first = assemble_matrices(w, degree)
     assemble_matrices(other, degree)
     again = assemble_matrices(w, degree)
-    for got, ref in zip(first[:2], _fresh_assembly(w, degree)):
-        assert np.array_equal(got, ref)
-    for got, ref in zip(again[:2], first[:2]):
-        assert np.array_equal(got, ref)
+    cached = spectral._basis_tables(n, degree)
+    spectral._basis_tables.cache_clear()
+    harmonics.gradient_maps.cache_clear()
+    fresh = assemble_matrices(w, degree)
+    assert spectral._basis_tables(n, degree) is not cached
+    for got in (first, again):
+        for array, ref in zip(got[:2], fresh[:2]):
+            assert np.array_equal(array, ref)
 
 
 def test_cached_tables_and_harmonic_blocks_are_read_only():
-    rule, values, grads = spectral._basis_tables(2, 8)
+    two, three = (spectral._basis_tables(n, spectral.DEFAULT_BASIS_DEGREE[n]) for n in (2, 3))
     block = harmonics._harmonic_block(2, 4)
-    for array in (rule.nodes, rule.weights, values, grads, block.coeffs, block.grad_coeffs):
+    arrays = [block.coeffs, block.grad_coeffs, two.stiffness, three.odd_values, three.maps]
+    for tables in (two, three):
+        arrays += [tables.rule.nodes, tables.rule.weights, tables.values]
+    for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array *= 1.0
+    # the returned stiffness is the caller's own
+    assert assemble_matrices(round_factor(2))[0].flags.writeable
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_two_dimensional_stiffness_is_the_round_spectrum(extra):
+    # the energy weight w^0 = 1: one stiffness for every factor
+    degree = spectral.DEFAULT_BASIS_DEGREE[2] + extra
+    base = harmonics.basis(2, degree)
+    exact = np.diag(base.degrees * (base.degrees + 1.0))
+    first = None
+    for spec in ("round", "const:2.5", "zonal:0.7", "zonal:-0.9", "exp:2,1,0.2;4,3,-0.05"):
+        w = parse_factor(spec, 2)
+        stiffness = assemble_matrices(w, degree)[0]
+        assert _relative_gap(stiffness, exact) <= 1e-12
+        assert _relative_gap(stiffness, _gradient_gram_assembly(w, degree)[0]) <= 1e-12
+        assert first is None or np.array_equal(stiffness, first)
+        first = stiffness
+
+
+@pytest.mark.parametrize("spec, scale", [("round", 1.0), ("const:2.5", 2.5)])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_three_dimensional_constant_stiffness_is_the_round_spectrum(spec, scale, extra):
+    # phi = w^{1/2} = sqrt(scale) weights the round stiffness diag(k(k+2))
+    degree = spectral.DEFAULT_BASIS_DEGREE[3] + extra
+    base = harmonics.basis(3, degree)
+    stiffness = assemble_matrices(parse_factor(spec, 3), degree)[0]
+    exact = math.sqrt(scale) * np.diag(base.degrees * (base.degrees + 2.0))
+    assert _relative_gap(stiffness, exact) <= 1e-12
+
+
+def _sweep_specs(seed):
+    """The spectral-sweep benchmark's make-up: fixed families, seeded parameters."""
+    rng = np.random.default_rng(seed)
+
+    def exp_spec(n):
+        dims = {k: harmonics.harmonic_space_dim(n, k) for k in (2, 4)}
+        terms = [
+            (2, int(rng.integers(dims[2])), float(rng.uniform(-0.25, 0.25))),
+            (2, int(rng.integers(dims[2])), float(rng.uniform(-0.25, 0.25))),
+            (4, int(rng.integers(dims[4])), float(rng.uniform(-0.1, 0.1))),
+        ]
+        return "exp:" + ";".join(f"{d},{i},{c!r}" for d, i, c in terms)
+
+    return [
+        (2, "round"),
+        (2, f"const:{rng.uniform(0.5, 3.0)!r}"),
+        (2, f"zonal:{rng.uniform(-1.0, -0.1)!r}"),
+        (2, f"zonal:{rng.uniform(0.1, 1.0)!r}"),
+        (2, exp_spec(2)),
+        (2, exp_spec(2)),
+        (3, f"const:{rng.uniform(0.5, 3.0)!r}"),
+        (3, f"zonal:{rng.uniform(0.1, 1.0)!r}"),
+        (3, exp_spec(3)),
+    ]
+
+
+CRITERION_3_SPECS = [
+    (n, spec)
+    for n, exp_spec in ((2, "exp:2,0,0.25;4,1,0.1;2,2,-0.15"), (3, "exp:2,0,0.2;4,3,0.1;2,5,-0.1"))
+    for spec in ("round", "zonal:0.2", "zonal:0.5", "zonal:1.0", exp_spec, "const:2.5")
+]
+
+
+@pytest.mark.parametrize("n, spec", _sweep_specs(1) + _sweep_specs(2) + CRITERION_3_SPECS)
+def test_theorem_check_eigenvalues_match_the_gradient_gram_route(n, spec):
+    w = parse_factor(spec, n)
+    report = theorem_check(w)
+    normalized = normalize_volume(w, rule=default_rule(n))
+    stiffness, mass = _gradient_gram_assembly(normalized, spectral.DEFAULT_BASIS_DEGREE[n])
+    ref = scipy.linalg.eigh(stiffness, mass, eigvals_only=True)[:12]
+    assert np.max(np.abs(np.array(report.eigenvalues) - ref)) <= 1e-12
+    assert report.passed == bool(ref[2] < report.bound)
+
+
+@pytest.mark.parametrize("n, coeff", [(2, -1800.0), (3, -1500.0)])
+def test_subnormal_volume_cannot_be_normalized(n, coeff):
+    # every node weight is positive, but the volume is below the smallest
+    # normal float: rescaling it would overflow the scale
+    w = harmonic_factor(n, [(0, 0, coeff)])
+    assert 0.0 < volume(w) < sys.float_info.min
+    with pytest.raises(AssemblyError, match="not positive"):
+        normalize_volume(w)
 
 
 @pytest.mark.parametrize("n, spec", [(2, "exp:2,1,0.2;4,3,-0.05"), (3, "zonal:0.6")])

@@ -38,8 +38,15 @@ CAP_T_MAX = 1.0 - 1e-6    # caps are only formed this far along the family
 _DENOM_TOL = 1e-14
 
 
+def _dot(a, b):
+    # Row dot products over the coordinate axis, broadcasting the leading axes.
+    # A ufunc reduction over an axis of 3 to 9 entries costs many times the
+    # products it sums; einsum contracts it in one pass without the temporary.
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _norm(y):
-    return np.sqrt(np.sum(y * y, axis=-1))
+    return np.sqrt(_dot(y, y))
 
 
 def as_unit(y, tol=UNIT_TOL):
@@ -47,7 +54,7 @@ def as_unit(y, tol=UNIT_TOL):
     y = np.asarray(y, dtype=float)
     r = _norm(y)
     dev = np.max(np.abs(r - 1.0)) if r.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # a NaN deviation fails too
         raise DomainError(f"point not on the unit sphere: | |y| - 1 | = {dev:.3g}")
     return y / r[..., None]
 
@@ -56,7 +63,7 @@ def as_ball(x):
     """Validate that x lies in the open unit ball."""
     x = np.asarray(x, dtype=float)
     r = _norm(x)
-    if r.size and np.max(r) >= 1.0:
+    if r.size and not np.max(r) < 1.0:  # a NaN norm fails too
         raise DomainError(f"point not in the open unit ball: |x| = {np.max(r):.17g}")
     return x
 
@@ -76,9 +83,9 @@ def _snap(out, unit):
 
 def _moebius(x, y, unit, strict=True):
     # strict=False returns NaN rows where the denominator degenerates
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    yy = np.sum(y * y, axis=-1, keepdims=True)
-    xx = np.sum(x * x, axis=-1, keepdims=True)
+    xy = _dot(x, y)[..., None]
+    yy = _dot(y, y)[..., None]
+    xx = _dot(x, x)[..., None]
     denom = 1.0 + 2.0 * xy + xx * yy
     degenerate = denom <= _DENOM_TOL
     if np.any(degenerate):
@@ -109,18 +116,18 @@ def _moebius_differential(x, y, v):
     # D T_x(y) v = (2x ((x + y).v) + (1 - |x|^2) v - T_x(y) (grad D . v)) / D on
     # columns v (N, m, k) at rows y (N, m) of the closed ball, where
     # D = 1 + 2 x.y + |x|^2 |y|^2 and grad D = 2x + 2 |x|^2 y
-    xx = np.sum(x * x, axis=-1, keepdims=True)
-    yy = np.sum(y * y, axis=-1, keepdims=True)
-    denom = 1.0 + 2.0 * np.sum(x * y, axis=-1, keepdims=True) + xx * yy
+    xx = _dot(x, x)[..., None]
+    yy = _dot(y, y)[..., None]
+    denom = 1.0 + 2.0 * _dot(x, y)[..., None] + xx * yy
     numer = 2.0 * x[..., :, None] * ((x + y)[..., None, :] @ v) + (1.0 - xx)[..., None] * v
     slope = (2.0 * (x + xx * y))[..., None, :] @ v
     return (numer - _moebius(x, y, False)[..., :, None] * slope) / denom[..., None]
 
 
 def _moebius_factor(x, s):
-    xx = np.sum(x * x, axis=-1)
+    xx = _dot(x, x)
     gap = x + s
-    denom = np.sum(gap * gap, axis=-1)
+    denom = _dot(gap, gap)
     if np.min(denom) <= _DENOM_TOL:
         raise DomainError("Moebius factor degenerate: s antipodal to x at |x| -> 1")
     return (1.0 - xx) / denom
@@ -138,10 +145,10 @@ def moebius_factor(x, s):
 
 
 def _reflect(y, mirror, unit):
-    m2 = np.sum(mirror * mirror, axis=-1, keepdims=True)
+    m2 = _dot(mirror, mirror)[..., None]
     if m2.size and np.min(m2) <= 1e-28:
         raise DomainError("reflection mirror vector is zero")
-    out = y - 2.0 * np.sum(y * mirror, axis=-1, keepdims=True) * mirror / m2
+    out = y - 2.0 * _dot(y, mirror)[..., None] * mirror / m2
     return _snap(out, unit)
 
 
@@ -156,7 +163,7 @@ def tangent_basis(x):
     sign = np.where(x[..., 0] >= 0.0, 1.0, -1.0)
     v = x.copy()
     v[..., 0] += sign
-    nv2 = np.sum(v * v, axis=-1)          # = 2 (1 + |x_0|) >= 2
+    nv2 = _dot(v, v)  # = 2 (1 + |x_0|) >= 2
     eye_cols = np.zeros(x.shape[:-1] + (m, m - 1))
     eye_cols[...] = np.eye(m)[:, 1:]
     basis = eye_cols - v[..., :, None] * (2.0 * v[..., None, 1:] / nv2[..., None, None])
@@ -166,7 +173,7 @@ def tangent_basis(x):
 def _tangent_retract(points, steps):
     """Unit rows moved by tangent_basis coordinates and renormalized (NaN at the origin)."""
     moved = points + (tangent_basis(points) @ steps[..., None])[..., 0]
-    norms = np.linalg.norm(moved, axis=1, keepdims=True)
+    norms = _norm(moved)[:, None]
     return moved / np.where(norms >= 1e-12, norms, np.nan)
 
 
@@ -181,7 +188,7 @@ def _central_differences(func, points, directions, step, on_sphere):
     offsets = step * np.moveaxis(directions, -1, 0)
     probes = np.concatenate([points + offsets, points - offsets])
     if on_sphere:
-        probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
+        probes /= _norm(probes)[..., None]
     values = np.asarray(func(probes.reshape(-1, m)), dtype=float).reshape(2, k, count, -1)
     return np.moveaxis((values[0] - values[1]) / (2.0 * step), 0, -1)
 
@@ -212,7 +219,7 @@ class SphericalCap:
     def signed_margin(self, y):
         """threshold - y.pole; nonnegative (up to tolerance) inside the cap."""
         y = np.asarray(y, dtype=float)
-        return (self.threshold - np.sum(y * self.pole, axis=-1, keepdims=True))[..., 0]
+        return (self.threshold - _dot(y, self.pole)[..., None])[..., 0]
 
     def contains(self, y):
         """Inclusive membership test (boundary points count as inside)."""
@@ -228,7 +235,7 @@ def _cap_terms(cap, y):
     # (1 + t^2)^2 |y - sp|^2 with s = 2t / (1 + t^2) but is a sum of two
     # non-negative terms, so it does not cancel as t -> 1
     m, d, q = y - cap.t * cap.pole, y - cap.pole, y + cap.pole
-    mm, dd, qq = (np.sum(a * a, axis=-1, keepdims=True) for a in (m, d, q))
+    mm, dd, qq = (_dot(a, a)[..., None] for a in (m, d, q))
     return m, d, q, mm, dd, qq, mm * mm + cap.t**2 * dd * qq
 
 

@@ -24,10 +24,12 @@ from .sphere_geom import (
     _cap_reflect,
     _cap_reflect_differential,
     _cap_reflect_factor,
+    _dot,
     _fold,
     _moebius,
     _moebius_differential,
     _moebius_factor,
+    _norm,
     _tangent_retract,
     as_ball,
     as_unit,
@@ -78,6 +80,8 @@ class PushforwardMeasure:
         object.__setattr__(self, "weights", wts)
         if pts.ndim != 2 or wts.ndim != 1 or pts.shape[0] != wts.shape[0]:
             raise DomainError("measure needs (N, m) atoms and (N,) weights")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise DomainError("measure atoms and weights must be finite")
         if np.min(wts) <= 0:
             raise DomainError("measure weights must be positive")
         dev = np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))
@@ -167,15 +171,15 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
 
     def retract(centers, shifts):
         trial = _moebius(centers, shifts, False)
-        trial[np.sum(trial * trial, axis=1) >= 1.0] = np.nan
+        trial[_dot(trial, trial) >= 1.0] = np.nan
         return trial
 
     centers, res, moved, iterations, history = damped_newton(
         lambda rows, trial, _: _centered(points[rows], weights, trial, mass, False),
         step, retract, centers, mean, moved, tol, max_iter, 0.9, SEARCH_MIN_SCALE,
     )
-    worst = int(np.argmax(res))
-    if res[worst] > tol:
+    worst = int(np.argmax(res))  # the first NaN, if any
+    if not res[worst] <= tol:
         raise ConvergenceError(
             f"center of mass stopped at residual {res[worst]:.3g} after "
             f"{iterations[worst]} iterations (tolerance {tol:.3g})",
@@ -507,7 +511,7 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     centered = _moebius(-center, atoms, True)
 
     # -- trial components: unit images, denominators
-    unit_dev = float(np.max(np.abs(np.linalg.norm(centered, axis=1) - 1.0)))
+    unit_dev = float(np.max(np.abs(_norm(centered) - 1.0)))
     denominators = np.einsum("k,kj->j", mass_weights, centered * centered)
     den_sum = math.fsum(denominators.tolist())
 
@@ -516,7 +520,7 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     deriv = veronese_jacobian(n, nodes) @ tangent_basis(nodes)  # (N, m, n)
     deriv[~inside] = _cap_reflect_differential(cap, images[~inside], deriv[~inside])
     deriv = _moebius_differential(-center, atoms, deriv)
-    comp_grad_sq = np.sum(deriv * deriv, axis=-1)
+    comp_grad_sq = _dot(deriv, deriv)
     gram = np.einsum("kmi,kmj->kij", deriv, deriv)
     grad_sq = np.trace(gram, axis1=1, axis2=2)  # sum_j |grad u_j|^2 at each node
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .sphere_geom import _dot
 
 __all__ = [
     "VeroneseConstants",
@@ -81,9 +82,7 @@ def veronese_apply(n, x):
         prev_scale = constants(k - 1).conformal_scale
         head = x[..., :k]
         tail = x[..., k : k + 1]
-        trace_part = (np.sum(head * head, axis=-1, keepdims=True) - k * tail * tail) / (
-            k * scale
-        )
+        trace_part = (_dot(head, head)[..., None] - k * tail * tail) / (k * scale)
         out = scale * np.concatenate([out / prev_scale, head * tail, trace_part], axis=-1)
     return out
 

@@ -260,6 +260,21 @@ def test_limits_moebius_rejects_a_negative_radius(capsys):
     assert err.startswith("configuration error") and "radii" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("com-solve", "--shift", "nan,0,0", "--pairs", "16"),
+        ("limits-moebius", "--radii", "nan"),
+        ("rayleigh-chain", "--pole", "nan,0,0,0,0", "--t", "0.3"),
+    ],
+)
+def test_non_finite_points_are_config_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "nan" not in out
+    assert err.startswith("configuration error") and "nan" in err
+
+
 @pytest.mark.parametrize("command", ["limits-fold", "limits-moebius"])
 def test_negative_band_is_a_config_error(capsys, command):
     code, out, err = run(capsys, command, "--band", "-1")

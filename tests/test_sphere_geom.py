@@ -238,6 +238,75 @@ def test_cap_kernels_equal_their_wrappers(t, pole, raw):
     npt.assert_array_equal(sg._fold_factor(cap, s), fold_factor(cap, y))
 
 
+def test_non_finite_points_are_rejected():
+    for point in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0, np.nan]):
+        with pytest.raises(DomainError):
+            as_unit(np.array(point))
+        with pytest.raises(DomainError):
+            as_ball(0.5 * np.array(point))
+    with pytest.raises(DomainError):
+        SphericalCap(np.array([np.nan, 0.0, 0.0]), 0.3)
+
+
+# --- the contracted row dot products against summed references ---------------
+
+
+def row_sum(a, b):
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
+@given(
+    st.sampled_from([3, 5, 9]),
+    st.integers(0, 4),
+    st.integers(0, 6),
+    st.integers(0, 2**31 - 1),
+)
+def test_dot_matches_the_summed_products(m, count, rows, seed):
+    rng = np.random.default_rng(seed)
+    for a_shape, b_shape in (((count, 1, m), (count, rows, m)), ((rows, m), (m,))):
+        a, b = rng.uniform(-1.0, 1.0, a_shape), rng.uniform(-1.0, 1.0, b_shape)
+        expected = row_sum(a, b)[..., 0]
+        assert sg._dot(a, b).shape == expected.shape
+        npt.assert_allclose(sg._dot(a, b), expected, rtol=0, atol=1e-14)
+        npt.assert_allclose(sg._dot(b, a), expected, rtol=0, atol=1e-14)
+
+
+def moebius_reference(x, y):
+    xy, yy, xx = row_sum(x, y), row_sum(y, y), row_sum(x, x)
+    out = ((1.0 + 2.0 * xy + yy) * x + (1.0 - xx) * y) / (1.0 + 2.0 * xy + xx * yy)
+    return out / np.sqrt(row_sum(out, out))
+
+
+def cap_reflect_reference(pole, t, y):
+    d, q, m = y - pole, y + pole, y - t * pole
+    dd = row_sum(d, d)
+    denom = row_sum(m, m) ** 2 + t * t * dd * row_sum(q, q)
+    out = ((1.0 - t * t) ** 2 * d + ((1.0 + t * t) ** 2 * dd - (1.0 - t) ** 4) * pole) / denom
+    return out / np.sqrt(row_sum(out, out))
+
+
+@given(st.sampled_from([3, 5, 9]), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_kernels_match_summed_references(m, count, seed):
+    # unit-scale inputs as the centering and search stack them: K shifts or
+    # caps (K, 1, m) against N unit rows (N, m)
+    rng = np.random.default_rng(seed)
+    y = unit_rows(rng.normal(size=(7, m)))
+    x = rng.uniform(0.0, 0.5, (count, 1, 1)) * unit_rows(rng.normal(size=(count, m)))[:, None]
+    npt.assert_allclose(sg._moebius(x, y, True), moebius_reference(x, y), rtol=0, atol=1e-14)
+    factor = (1.0 - row_sum(x, x)) / row_sum(x + y, x + y)
+    npt.assert_allclose(sg._moebius_factor(x, y), factor[..., 0], rtol=0, atol=1e-14)
+
+    pole = unit_rows(rng.normal(size=(count, m)))[:, None]
+    t = rng.uniform(0.0, 0.5, (count, 1, 1))
+    cap = SphericalCap(pole, t)
+    margin = (2.0 * t / (1.0 + t * t) - row_sum(y, pole))[..., 0]
+    npt.assert_allclose(cap.signed_margin(y), margin, rtol=0, atol=1e-14)
+    reflected = cap_reflect_reference(pole, t, y)
+    npt.assert_allclose(sg._cap_reflect(cap, y), reflected, rtol=0, atol=1e-14)
+    folded = np.where(margin[..., None] >= -sg.MEMBERSHIP_TOL, y, reflected)
+    npt.assert_allclose(sg._fold(cap, y), folded, rtol=0, atol=1e-14)
+
+
 @given(st.integers(1, 3), st.integers(0, 2**31 - 1))
 def test_central_differences_match_the_veronese_jacobian_on_tangent_frames(n, seed):
     x = unit_rows(np.random.default_rng(seed).normal(size=(7, n + 1)))

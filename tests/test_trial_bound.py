@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import rplap
 from rplap import spectral, sphere_geom as sg, trial_bound
-from rplap.errors import DomainError, NumericError
+from rplap.errors import ConvergenceError, DomainError, NumericError
 from rplap.quadrature import build_sphere_rule, projective_volume
 from rplap.sphere_geom import SphericalCap, moebius_apply
 from rplap.spectral import round_factor, volume, zonal_factor
@@ -91,6 +91,16 @@ class TestPushforwardMeasure:
         with pytest.raises(DomainError):
             PushforwardMeasure(points=np.eye(3), weights=np.ones(2))
 
+    @pytest.mark.parametrize("field", ["points", "weights"])
+    def test_rejects_non_finite_values(self, field):
+        valid = moebius_shifted_uniform(3, [0.2, 0.0, 0.0], pairs=8)
+        values = {"points": valid.points.copy(), "weights": valid.weights.copy()}
+        values[field][3] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            PushforwardMeasure(**values)
+        with pytest.raises(NumericError, match="finite"):
+            trial_bound._computed_measure(**values)
+
 
 def test_pushforward_mass_is_the_metric_volume():
     for w in (round_factor(2), zonal_factor(2, 0.5)):
@@ -115,6 +125,15 @@ def test_a_heavy_atom_of_a_computed_measure_is_a_numerical_failure():
         pushforward_measure(w, cap, rule=rule)
     with pytest.raises(NumericError, match="half the mass"):
         rayleigh_chain(w, cap, rule=rule)
+
+
+@pytest.mark.parametrize("field", ["points", "weights"])
+def test_center_of_mass_does_not_converge_on_nan(field):
+    # the stored arrays stay writable, so NaN can enter after validation
+    measure = moebius_shifted_uniform(3, [0.2, 0.0, 0.0], pairs=8)
+    getattr(measure, field)[3] = np.nan
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        center_of_mass(measure)
 
 
 # ---------------------------------------------------------------------------

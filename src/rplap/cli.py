@@ -73,6 +73,20 @@ def _one_of(*names):
     return parse
 
 
+def _at_least(low, parse=int):
+    """A type that parses with `parse` (to a number or a list of numbers)
+    and accepts no value below `low`."""
+
+    def check(text):
+        value = parse(text)
+        if min(value if isinstance(value, list) else [value]) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names an unparsable value's type by it
+    return check
+
+
 def _pole(text):
     """A cap pole: (False, ambient coordinates) or, for `image:x,...`, (True, x)."""
     if not text:
@@ -535,9 +549,9 @@ def build_parser():
         )
 
     sub = command("veronese-check", cmd_veronese_check, "verify the quadratic-map identities")
-    sub.add_argument("--dims", type=_ints, default="1-8", help="dimensions, e.g. '1-8' or '2,3'")
-    sub.add_argument("--samples", type=int, default=200, help="random sample count per dimension")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--dims", type=_at_least(1, _ints), default="1-8", help="e.g. '1-8' or '2,3'")
+    sub.add_argument("--samples", type=_at_least(1), default=200, help="samples per dimension")
+    sub.add_argument("--seed", type=_at_least(0), default=0)
     sub.add_argument("--norm-tol", type=float, default=1e-12)
     sub.add_argument("--gram-tol", type=float, default=1e-10)
 
@@ -565,22 +579,24 @@ def build_parser():
 
     sub = command("com-solve", cmd_com_solve, "hyperbolic center of mass of a measure")
     sub.add_argument("--shift", type=_floats, help="synthetic mode: exact center (comma floats)")
-    sub.add_argument("--pairs", type=int, default=128, help="synthetic mode: antipodal pairs")
+    sub.add_argument(
+        "--pairs", type=_at_least(1), default=128, help="synthetic mode: antipodal pairs"
+    )
     metric(sub)
     sub.add_argument("--pole", type=_pole, help="pushforward mode: cap pole, as for rayleigh-chain")
     sub.add_argument("--t", type=float, default=0.5, help="pushforward mode: cap parameter")
     sub.add_argument("--degree", type=int, default=12, help="pushforward mode: rule exactness")
     sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", type=int, default=500)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--max-iter", type=_at_least(0), default=500)
+    sub.add_argument("--seed", type=_at_least(0), default=0)
 
     sub = command("vfield-search", cmd_vfield_search, "minimize the obstruction field over caps")
     metric(sub)
     sub.add_argument(
-        "--starts", type=int, default=8, help="best slice-grid cells, polished by Gauss-Newton"
+        "--starts", type=_at_least(0), default=8, help="best grid cells, polished by Gauss-Newton"
     )
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--maxiter", type=int, default=250, help="cap on the polish's rounds")
+    sub.add_argument("--seed", type=_at_least(0), default=0)
+    sub.add_argument("--maxiter", type=_at_least(0), default=250, help="cap on the polish's rounds")
     sub.add_argument("--t-max", type=float, default=0.999)
     sub.add_argument("--degree", type=int, help="harmonic basis degree cutoff")
     sub.add_argument(
@@ -592,7 +608,7 @@ def build_parser():
     sub.add_argument("--map", type=_one_of(*maps), default="identity-s3", help=" | ".join(maps))
     methods = ("integral", "regular-value", "both")
     sub.add_argument("--method", type=_one_of(*methods), default="both", help=" | ".join(methods))
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_at_least(0), default=0)
     sub.add_argument(
         "--paired", type=_to_bool, default=False, help="also run the paired box-degree examples"
     )

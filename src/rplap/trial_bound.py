@@ -37,7 +37,7 @@ from .sphere_geom import (
     tangent_basis,
 )
 from .veronese import constants as veronese_constants
-from .veronese import veronese_apply, veronese_jacobian
+from .veronese import quadratic_forms, veronese_apply, veronese_jacobian
 
 __all__ = [
     "PushforwardMeasure",
@@ -66,20 +66,22 @@ __all__ = [
 class PushforwardMeasure:
     """Finite atomic measure on a unit sphere (atom rows, positive weights).
 
-    Atoms and weights are validated and stored as float arrays once, here;
-    the centering loops trust them.
+    Atoms and weights are validated once, here, and stored as read-only float
+    copies, so no later write can bypass the checks; the centering loops
+    trust them.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        if pts.ndim != 2 or wts.ndim != 1 or pts.shape[0] != wts.shape[0]:
-            raise DomainError("measure needs (N, m) atoms and (N,) weights")
+        pts = np.array(self.points, dtype=float)
+        wts = np.array(self.weights, dtype=float)
+        for name, values in (("points", pts), ("weights", wts)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if pts.ndim != 2 or wts.ndim != 1 or pts.shape[0] != wts.shape[0] or not wts.size:
+            raise DomainError("measure needs (N, m) atoms and (N,) weights, N >= 1")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
             raise DomainError("measure atoms and weights must be finite")
         if np.min(wts) <= 0:
@@ -127,6 +129,8 @@ def moebius_shifted_uniform(ambient_dim, shift, pairs=128, seed=0):
     Atoms come in antipodal pairs, so the uncentered cloud has vanishing
     first moment and the translated cloud is centered exactly at `shift`.
     """
+    if pairs < 1:
+        raise DomainError(f"a cloud needs at least one antipodal pair, got {pairs}")
     rng = np.random.default_rng(seed)
     half = rng.standard_normal((pairs, ambient_dim))
     half /= np.linalg.norm(half, axis=1, keepdims=True)
@@ -299,7 +303,7 @@ SEARCH_PROGRESS = 0.99     # a round must cut a residual below this share of the
 SEARCH_COM_TOL = 1e-12     # centering tolerance: V is only as accurate as its center
 
 
-def _principal_slice_basis(w, f, rule, seed=0):
+def _principal_slice_basis(w, f, seed=0):
     """Pole directions adapted to the quadratic part of f.
 
     Fits the best quadratic form f(y) ~ y^T A y, takes the eigenframe of A
@@ -321,19 +325,13 @@ def _principal_slice_basis(w, f, rule, seed=0):
     quad -= np.trace(quad) / (n + 1) * np.eye(n + 1)
     frame = np.linalg.eigh(quad)[1] if np.linalg.norm(quad) >= 1e-6 else np.eye(n + 1)
 
-    phi = veronese_apply(n, rule.nodes)
-    gram = np.einsum("k,ki,kj->ij", rule.weights, phi, phi)
-    diag_forms = []
-    for i in range(n):
-        diag = np.zeros(n + 1)
-        diag[i] = 1.0
-        diag[i + 1] = -1.0
-        form = frame @ np.diag(diag) @ frame.T
-        values = np.einsum("ki,ij,kj->k", rule.nodes, form, rule.nodes)
-        moments = np.einsum("k,ki->i", rule.weights * values, phi)
-        diag_forms.append(np.linalg.solve(gram, moments))
-    basis = np.array(diag_forms).T  # (ambient, n)
-    q, _ = np.linalg.qr(basis)
+    # diag(e_i - e_{i+1}) in the frame; the Veronese forms are Frobenius-
+    # orthogonal with squared norm (n+1)/n, so Frobenius products with them
+    # are image coordinates
+    outer = np.einsum("ai,bi->iab", frame, frame)
+    forms = outer[:-1] - outer[1:]
+    coords = np.einsum("kab,iab->ki", quadratic_forms(n), forms) * (n / (n + 1))
+    q, _ = np.linalg.qr(coords)
     return q
 
 
@@ -377,7 +375,7 @@ def search_vector_field_zero(
             trace.append(best["residual"])
         return vecs, centers
 
-    slice_basis = _principal_slice_basis(w, f, rule, seed=seed)
+    slice_basis = _principal_slice_basis(w, f, seed=seed)
     angles = np.linspace(0.0, 2.0 * math.pi, 24 * slice_basis.shape[1], endpoint=False)
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ slice_basis[:, :2].T
     poles = as_unit(np.repeat(directions, 10, axis=0))

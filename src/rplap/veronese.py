@@ -2,9 +2,10 @@
 
 The degree-n map sends R^{n+1} -> R^{m} with m = n(n+3)/2, is even, satisfies
 |map(x)| = |x|^2, and restricts on the unit sphere to a conformal embedding of
-the projective space with stretch sqrt(2(n+1)/n).  It is defined inductively:
-the base case on R^2 is (2 x1 x2, x1^2 - x2^2), and each step appends the
-products x_i x_{n+1} and a trace-balancing component.
+the projective space with stretch sqrt(2(n+1)/n).  Component k is the
+quadratic form x^T Q_k x, and the forms are defined inductively: the base
+case on R^2 is (2 x1 x2, x1^2 - x2^2), and each step appends the products
+x_i x_{n+1} and a trace-balancing component.
 """
 
 from dataclasses import dataclass
@@ -14,12 +15,12 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .sphere_geom import _dot
 
 __all__ = [
     "VeroneseConstants",
     "constants",
     "output_dim",
+    "quadratic_forms",
     "veronese_apply",
     "veronese_jacobian",
 ]
@@ -40,90 +41,75 @@ class VeroneseConstants:
         sqrt(2(n+1)/n).
     radial_coeff: sqrt(2(n-1)/n); the Jacobian Gram matrix is
         conformal_scale^2 |x|^2 I + radial_coeff^2 x x^T.
-    trace_coeff: sqrt(2/(n(n+1))); gradient weight of the trace-balancing
-        component in the inductive step.
     """
 
-    dim: int
-    out_dim: int
     conformal_scale: float
     radial_coeff: float
-    trace_coeff: float
 
 
 @lru_cache(maxsize=None)
 def constants(n):
-    if n < 1:
-        raise DomainError(f"Veronese degree must be >= 1, got {n}")
+    output_dim(n)  # rejects n < 1
     return VeroneseConstants(
-        dim=n,
-        out_dim=output_dim(n),
         conformal_scale=math.sqrt(2.0 * (n + 1) / n),
         radial_coeff=math.sqrt(2.0 * (n - 1) / n),
-        trace_coeff=math.sqrt(2.0 / (n * (n + 1))),
     )
 
 
-def _base_apply(x):
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([2.0 * x1 * x2, x1 * x1 - x2 * x2], axis=-1)
+@lru_cache(maxsize=None)
+def quadratic_forms(n):
+    """The map's quadratic forms: read-only Q of shape (out_dim, n+1, n+1),
+    symmetric, with component k of the map equal to x^T Q[k] x.
+
+    The forms are traceless and Frobenius-orthogonal, each with squared
+    Frobenius norm (n+1)/n, so they span the traceless symmetric matrices.
+    """
+    output_dim(n)  # rejects n < 1
+    forms = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    for k in range(2, n + 1):
+        scale = constants(k).conformal_scale
+        old, head = forms.shape[0], np.arange(k)
+        new = np.zeros((old + k + 1, k + 1, k + 1))
+        new[:old, :k, :k] = forms * (scale / constants(k - 1).conformal_scale)
+        new[old + head, head, k] = new[old + head, k, head] = 0.5 * scale  # x_i x_{k+1}
+        new[-1] = np.diag(np.r_[np.ones(k), -k]) / k  # trace balancing
+        forms = new
+    forms.flags.writeable = False
+    return forms
+
+
+@lru_cache(maxsize=None)
+def _contractions(n):
+    """Q as matrices for the two batched contractions: the map is the
+    degree-2 monomials x_i x_j (i <= j) times `pairs`, the Jacobian is x times
+    `rows` reshaped, with row k of the Jacobian equal to 2 Q[k] x."""
+    forms = quadratic_forms(n)
+    upper = np.triu_indices(n + 1)
+    pairs = (forms * (2.0 - np.eye(n + 1)))[:, upper[0], upper[1]].T.copy()
+    rows = np.ascontiguousarray(2.0 * forms.transpose(2, 0, 1).reshape(n + 1, -1))
+    return upper, pairs, rows
+
+
+def _checked(n, x):
+    output_dim(n)  # rejects n < 1
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != n + 1:
+        raise DomainError(f"expected {n + 1} coordinates, got {x.shape[-1]}")
+    return x
 
 
 def veronese_apply(n, x):
     """Evaluate the degree-n map at x (last axis has n+1 coordinates)."""
-    if n < 1:
-        raise DomainError(f"Veronese degree must be >= 1, got {n}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n + 1:
-        raise DomainError(f"expected {n + 1} coordinates, got {x.shape[-1]}")
-    out = _base_apply(x)
-    for k in range(2, n + 1):
-        scale = constants(k).conformal_scale
-        prev_scale = constants(k - 1).conformal_scale
-        head = x[..., :k]
-        tail = x[..., k : k + 1]
-        trace_part = (_dot(head, head)[..., None] - k * tail * tail) / (k * scale)
-        out = scale * np.concatenate([out / prev_scale, head * tail, trace_part], axis=-1)
-    return out
-
-
-def _base_jacobian(x):
-    x1, x2 = x[..., 0], x[..., 1]
-    jac = np.empty(x.shape[:-1] + (2, 2))
-    jac[..., 0, 0] = 2.0 * x2
-    jac[..., 0, 1] = 2.0 * x1
-    jac[..., 1, 0] = 2.0 * x1
-    jac[..., 1, 1] = -2.0 * x2
-    return jac
+    x = _checked(n, x)
+    (left, right), pairs, _ = _contractions(n)
+    return (x[..., left] * x[..., right]) @ pairs
 
 
 def veronese_jacobian(n, x):
-    """Jacobian of the degree-n map, shape (..., out_dim, n+1).
-
-    Built by the same induction as the map itself; the Gram identity
+    """Jacobian of the degree-n map, shape (..., out_dim, n+1): row k is
+    2 Q[k] x.  The Gram identity
     J^T J = conformal_scale^2 |x|^2 I + radial_coeff^2 x x^T holds exactly.
     """
-    if n < 1:
-        raise DomainError(f"Veronese degree must be >= 1, got {n}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n + 1:
-        raise DomainError(f"expected {n + 1} coordinates, got {x.shape[-1]}")
-    jac = _base_jacobian(x)
-    for k in range(2, n + 1):
-        cst = constants(k)
-        scale = cst.conformal_scale
-        prev_scale = constants(k - 1).conformal_scale
-        head = x[..., :k]
-        tail = x[..., k]
-        rows_prev = jac.shape[-2]
-        new = np.zeros(x.shape[:-1] + (rows_prev + k + 1, k + 1))
-        new[..., :rows_prev, :k] = jac * (scale / prev_scale)
-        # product components x_i * x_{k+1}
-        idx = np.arange(k)
-        new[..., rows_prev + idx, idx] = scale * tail[..., None]
-        new[..., rows_prev : rows_prev + k, k] = scale * head
-        # trace-balancing component
-        new[..., rows_prev + k, :k] = scale * cst.trace_coeff * head
-        new[..., rows_prev + k, k] = -2.0 * tail
-        jac = new
-    return jac
+    x = _checked(n, x)
+    rows = _contractions(n)[2]
+    return (x @ rows).reshape(x.shape[:-1] + (output_dim(n), n + 1))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 import pkgutil
 
@@ -71,3 +72,14 @@ def test_slow_row_reduction_scan_finds_each_form():
     assert [hit.split(":")[0] for hit in _slow_row_reductions(source)] == [
         "line 1", "line 2", "line 3", "line 4",
     ]
+
+
+def test_perfbench_traced_layers_resolve():
+    # the traced benchmark run wraps each (owner, attribute) in LAYERS by
+    # name, so deleting or renaming one breaks only `--trace` runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [name for name, owner, attr, *_ in layers.LAYERS if not hasattr(owner, attr)]
+    assert missing == []

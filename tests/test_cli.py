@@ -136,6 +136,37 @@ def test_nonpositive_count_is_a_config_error(capsys, count):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("veronese-check", "--seed", "-1"),
+        ("degree", "--seed", "-1"),
+        ("vfield-search", "--seed", "-1"),
+        ("com-solve", "--seed", "-1"),
+        ("veronese-check", "--samples", "0"),
+        ("veronese-check", "--samples", "-1"),
+        ("veronese-check", "--dims", "-3"),
+        ("com-solve", "--shift", "0.1,0,0", "--pairs", "0"),
+        ("com-solve", "--shift", "0.1,0,0", "--pairs", "-2"),
+        ("vfield-search", "--starts", "-1"),
+        ("vfield-search", "--maxiter", "-1"),
+        ("com-solve", "--max-iter", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_count_or_seed_below_its_minimum_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"configuration error: argument {argv[-2]}: must be at least")
+
+
+def test_unparsable_count_names_its_type(capsys):
+    code, _, err = run(capsys, "veronese-check", "--samples", "many")
+    assert code == 2
+    assert "argument --samples: invalid int value: 'many'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("limits-fold", "--t-values", ","),
         ("limits-moebius", "--radii", ""),
         ("com-solve", "--shift", ","),

@@ -101,6 +101,26 @@ class TestPushforwardMeasure:
         with pytest.raises(NumericError, match="finite"):
             trial_bound._computed_measure(**values)
 
+    def test_rejects_an_empty_measure(self):
+        with pytest.raises(DomainError, match="N >= 1"):
+            PushforwardMeasure(points=np.empty((0, 3)), weights=np.empty(0))
+
+    @pytest.mark.parametrize("field", ["points", "weights"])
+    def test_stores_read_only_copies(self, field):
+        valid = moebius_shifted_uniform(3, [0.2, 0.0, 0.0], pairs=8)
+        values = {"points": valid.points.copy(), "weights": valid.weights.copy()}
+        measure = PushforwardMeasure(**values)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(measure, field)[3] = np.nan
+        values[field][3] = np.nan  # the caller's array is neither frozen nor shared
+        assert np.all(np.isfinite(getattr(measure, field)))
+
+
+@pytest.mark.parametrize("pairs", [0, -2])
+def test_a_cloud_needs_an_antipodal_pair(pairs):
+    with pytest.raises(DomainError, match="antipodal pair"):
+        moebius_shifted_uniform(3, [0.1, 0.0, 0.0], pairs=pairs)
+
 
 def test_pushforward_mass_is_the_metric_volume():
     for w in (round_factor(2), zonal_factor(2, 0.5)):
@@ -129,11 +149,12 @@ def test_a_heavy_atom_of_a_computed_measure_is_a_numerical_failure():
 
 @pytest.mark.parametrize("field", ["points", "weights"])
 def test_center_of_mass_does_not_converge_on_nan(field):
-    # the stored arrays stay writable, so NaN can enter after validation
-    measure = moebius_shifted_uniform(3, [0.2, 0.0, 0.0], pairs=8)
-    getattr(measure, field)[3] = np.nan
+    # a measure cannot hold NaN, so the centering loop is fed one directly
+    valid = moebius_shifted_uniform(3, [0.2, 0.0, 0.0], pairs=8)
+    values = {"points": valid.points.copy(), "weights": valid.weights.copy()}
+    values[field][3] = np.nan
     with pytest.raises(ConvergenceError, match="residual nan"):
-        center_of_mass(measure)
+        trial_bound._center_iterate(values["points"][None], values["weights"], 1e-10, 500)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +265,42 @@ def test_search_evaluates_one_cap_holding_every_image(monkeypatch):
     result = search_vector_field_zero(zonal_factor(2, 0.5), starts=0, seed=0)
     assert len(whole) == result.evaluations > 100
     assert sum(whole) == 1  # the first such cap is kept, the rest skipped
+
+
+def _quadrature_slice_basis(w, f, seed=0):
+    """The slice basis by an L2 projection onto the Veronese components: the
+    quadrature Gram solve that the Frobenius products replace."""
+    n, rule = w.sphere_dim, build_sphere_rule(w.sphere_dim, 12)
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((20 * (n + 1) ** 2, n + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    design = np.einsum("ki,kj->kij", pts, pts).reshape(pts.shape[0], -1)
+    coef, *_ = np.linalg.lstsq(design, f(pts), rcond=None)
+    quad = coef.reshape(n + 1, n + 1)
+    quad = 0.5 * (quad + quad.T)
+    quad -= np.trace(quad) / (n + 1) * np.eye(n + 1)
+    frame = np.linalg.eigh(quad)[1] if np.linalg.norm(quad) >= 1e-6 else np.eye(n + 1)
+    phi = veronese_apply(n, rule.nodes)
+    gram = np.einsum("k,ki,kj->ij", rule.weights, phi, phi)
+    columns = []
+    for i in range(n):
+        diag = np.zeros(n + 1)
+        diag[i], diag[i + 1] = 1.0, -1.0
+        form = frame @ np.diag(diag) @ frame.T
+        values = np.einsum("ki,ij,kj->k", rule.nodes, form, rule.nodes)
+        moments = np.einsum("k,ki->i", rule.weights * values, phi)
+        columns.append(np.linalg.solve(gram, moments))
+    return np.linalg.qr(np.array(columns).T)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", ["round", "zonal:0.5", "exp:2,1,0.3"])
+def test_slice_basis_matches_the_quadrature_projection(n, spec):
+    w = spectral.parse_factor(spec, n)
+    f = spectral.first_excited_state(spectral.eigenvalues(w))
+    npt.assert_allclose(
+        trial_bound._principal_slice_basis(w, f), _quadrature_slice_basis(w, f), rtol=0, atol=1e-12
+    )
 
 
 def test_field_on_a_stack_of_caps_matches_each_cap_alone():

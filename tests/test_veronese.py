@@ -12,6 +12,7 @@ from rplap.sphere_geom import tangent_basis
 from rplap.veronese import (
     constants,
     output_dim,
+    quadratic_forms,
     veronese_apply,
     veronese_jacobian,
 )
@@ -34,12 +35,36 @@ def test_constants_two_dimensional_values():
     cst = constants(2)
     npt.assert_allclose(cst.conformal_scale**2, 3.0, rtol=1e-15)
     npt.assert_allclose(cst.radial_coeff**2, 1.0, rtol=1e-15)
-    npt.assert_allclose(cst.trace_coeff**2, 1.0 / 3.0, rtol=1e-15)
 
 
 def test_constants_collapse_at_dimension_one():
     # the tangential identity degenerates gracefully: no radial term at n = 1
     assert constants(1).radial_coeff == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_quadratic_forms_are_an_orthogonal_traceless_family(n):
+    forms = quadratic_forms(n)
+    assert forms.shape == (output_dim(n), n + 1, n + 1)
+    assert not forms.flags.writeable
+    npt.assert_array_equal(forms, forms.transpose(0, 2, 1))
+    npt.assert_allclose(np.trace(forms, axis1=1, axis2=2), 0.0, rtol=0, atol=1e-15)
+    frobenius = np.einsum("kij,lij->kl", forms, forms)
+    npt.assert_allclose(frobenius, (n + 1) / n * np.eye(output_dim(n)), rtol=0, atol=1e-15)
+
+
+@given(
+    DIMS,
+    arrays(np.float64, (4, 7), elements=st.floats(-2.0, 2.0, allow_nan=False)),
+)
+def test_map_and_jacobian_contract_the_forms(n, raw):
+    x, forms = raw[:, : n + 1], quadratic_forms(n)
+    npt.assert_allclose(
+        veronese_apply(n, x), np.einsum("...i,kij,...j", x, forms, x), rtol=0, atol=1e-14
+    )
+    npt.assert_allclose(
+        veronese_jacobian(n, x), 2.0 * np.einsum("kij,...j->...ki", forms, x), rtol=0, atol=1e-14
+    )
 
 
 def test_frozen_images_on_s2():

@@ -7,15 +7,13 @@ height chart . e alone, a closed form on the chart's lines, so each row's
 rule splits them at the fold's kink and grades toward the stretch's peak.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .quadrature import (
-    ParamSurface,
     _chart_density,
     _graded_panels,
     _weighted_area,
@@ -28,6 +26,7 @@ from .sphere_geom import SphericalCap, as_ball, as_unit, fold_factor, moebius_fa
 from .veronese import veronese_apply, veronese_jacobian
 
 __all__ = [
+    "FrameChart",
     "circle_arc",
     "veronese_patch",
     "cap_patch",
@@ -44,67 +43,79 @@ VERONESE_PATCH_NODES = (20, 20)  # (polar, azimuth) nodes of veronese_patch's ru
 CAP_PATCH_NODES = (16, 32)  # (radial, angular) nodes of cap_patch's rule
 
 
-@dataclass
-class _FrameSurface(ParamSurface):
-    """A _frame_surface chart; lift(r, phi) = chart((r, phi)) has one `frequency` in r."""
-
-    lift: Callable = None
-    frequency: float = 1.0
-
-
-def _frame_surface(frame, ranges, counts, name, scale=1.0, veronese=False):
-    """Spherical coordinates (r[, phi]) in the orthonormal frame (e0, e1[, e2]).
+@dataclass(frozen=True)
+class FrameChart:
+    """Spherical coordinates (r[, phi]) in the orthonormal frame (e0, e1, e2).
 
     The chart is s = cos(scale r) e0 + sin(scale r)(cos phi e1 + sin phi e2),
-    with phi = 0 on a one-parameter chart, or veronese_apply(2, s) when
-    `veronese` is set.  Axis i carries a counts[i]-node Gauss-Legendre rule
-    on ranges[i].
+    with e2 = 0 and phi = 0 on a one-parameter chart, or veronese_apply(2, s)
+    when `veronese` is set.  Axis i runs over ranges[i] = (lo, hi), and
+    (nodes, weights) is a quadrature rule on those parameters.  On the line
+    of fixed phi, lift(r, phi) has the one `frequency` in r.
     """
-    ranges = tuple(tuple(map(float, axis)) for axis in ranges)
-    frame = np.array([*frame, *[0.0 * frame[0]] * (3 - len(frame))])  # e2 = 0 on arcs (phi = 0)
 
-    def rims(phi):  # cos phi e1 + sin phi e2 and its phi-derivative
+    frame: np.ndarray
+    ranges: tuple
+    nodes: np.ndarray
+    weights: np.ndarray
+    name: str
+    scale: float = 1.0
+    veronese: bool = False
+
+    @property
+    def param_dim(self):
+        return len(self.ranges)
+
+    @property
+    def frequency(self):
+        return (2.0 if self.veronese else 1.0) * self.scale
+
+    def with_rule(self, nodes, weights):
+        """This chart with the parameter rule (nodes, weights) in place of its own."""
+        return replace(self, nodes=nodes, weights=weights)
+
+    def _rims(self, phi):
+        """cos phi e1 + sin phi e2 and its phi-derivative."""
         c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
-        return c * frame[1] + s * frame[2], c * frame[2] - s * frame[1]
+        return c * self.frame[1] + s * self.frame[2], c * self.frame[2] - s * self.frame[1]
 
-    def lift(r, phi):
-        radial = r * scale
-        points = np.cos(radial)[..., None] * frame[0] + np.sin(radial)[..., None] * rims(phi)[0]
-        return veronese_apply(2, points) if veronese else points
-
-    def polar(params):
+    def _polar(self, params):
         params = np.atleast_2d(params)
-        return params[:, 0], params[:, 1] if len(ranges) == 2 else np.zeros(len(params))
+        return params[:, 0], params[:, 1] if self.param_dim == 2 else np.zeros(len(params))
 
-    def jacobian(params):
-        r, phi = polar(params)
-        (rim, d_rim), radial = rims(phi), r[:, None] * scale
-        outer = veronese and veronese_jacobian(2, np.cos(radial) * frame[0] + np.sin(radial) * rim)
+    def lift(self, r, phi):
+        radial = r * self.scale
+        rim = self._rims(phi)[0]
+        points = np.cos(radial)[..., None] * self.frame[0] + np.sin(radial)[..., None] * rim
+        return veronese_apply(2, points) if self.veronese else points
 
-        def pushed(column):
-            # one contiguous column at a time keeps the sums' rounding fixed
-            return np.einsum("kmi,ki->km", outer, column) if veronese else column
+    def chart(self, params):
+        """Parameter rows (N, param_dim) -> ambient rows (N, M+1)."""
+        return self.lift(*self._polar(params))
 
-        columns = [pushed(scale * (-np.sin(radial) * frame[0] + np.cos(radial) * rim))]
-        if len(ranges) == 2:
-            columns.append(pushed(np.sin(radial) * d_rim))
+    def jacobian(self, params):
+        """Parameter rows (N, param_dim) -> the chart's Jacobian (N, M+1, param_dim)."""
+        r, phi = self._polar(params)
+        (rim, d_rim), radial = self._rims(phi), r[:, None] * self.scale
+        e0, sin = self.frame[0], np.sin(radial)
+        outer = self.veronese and veronese_jacobian(2, np.cos(radial) * e0 + sin * rim)
+        # one contiguous column at a time keeps the sums' rounding fixed
+        push = lambda column: np.einsum("kmi,ki->km", outer, column) if self.veronese else column
+        columns = [push(self.scale * (-sin * e0 + np.cos(radial) * rim))]
+        if self.param_dim == 2:
+            columns.append(push(sin * d_rim))
         return np.stack(columns, axis=-1)
 
+
+def _frame_chart(frame, ranges, counts, name, **shape):
+    """A FrameChart with a counts[i]-node Gauss-Legendre rule on ranges[i]."""
+    ranges = tuple(tuple(map(float, axis)) for axis in ranges)
+    frame = np.array([*frame, *[0.0 * frame[0]] * (3 - len(frame))])  # e2 = 0 on arcs
     if len(ranges) == 1:
-        nodes, weights = interval_rule(*ranges[0], counts[0])
+        rule = interval_rule(*ranges[0], counts[0])
     else:
-        nodes, weights = product_rectangle_rule(*ranges, *counts)
-    return _FrameSurface(
-        param_dim=len(ranges),
-        chart=lambda params: lift(*polar(params)),
-        nodes=nodes,
-        weights=weights,
-        jacobian=jacobian,
-        name=name,
-        param_range=ranges[0] if len(ranges) == 1 else ranges,
-        lift=lift,
-        frequency=(2.0 if veronese else 1.0) * scale,
-    )
+        rule = product_rectangle_rule(*ranges, *counts)
+    return FrameChart(frame, ranges, *rule, name, **shape)
 
 
 def circle_arc(through, toward, angle_range=(-math.pi, math.pi), name=""):
@@ -120,7 +131,7 @@ def circle_arc(through, toward, angle_range=(-math.pi, math.pi), name=""):
     norm = np.linalg.norm(b)
     if norm < 1e-12:
         raise DomainError("arc direction parallel to its base point")
-    return _frame_surface((a, b / norm), [angle_range], [CIRCLE_ARC_NODES], name or "circle-arc")
+    return _frame_chart((a, b / norm), [angle_range], [CIRCLE_ARC_NODES], name or "circle-arc")
 
 
 def veronese_patch(polar_range, azimuth_range, name="veronese-patch"):
@@ -129,7 +140,7 @@ def veronese_patch(polar_range, azimuth_range, name="veronese-patch"):
     The polar angle is measured from e3 and the azimuth from e1 toward e2.
     """
     ranges = [polar_range, azimuth_range]
-    return _frame_surface(np.eye(3)[[2, 0, 1]], ranges, VERONESE_PATCH_NODES, name, veronese=True)
+    return _frame_chart(np.eye(3)[[2, 0, 1]], ranges, VERONESE_PATCH_NODES, name, veronese=True)
 
 
 def cap_patch(pole, opening_angle, name="cap-patch"):
@@ -144,7 +155,7 @@ def cap_patch(pole, opening_angle, name="cap-patch"):
     u = seed_dir - (seed_dir @ pole) * pole
     u /= np.linalg.norm(u)
     frame, ranges = (pole, u, np.cross(pole, u)), [(0.0, 1.0), (0.0, 2.0 * math.pi)]
-    return _frame_surface(frame, ranges, CAP_PATCH_NODES, name, scale=opening_angle)
+    return _frame_chart(frame, ranges, CAP_PATCH_NODES, name, scale=opening_angle)
 
 
 @dataclass(frozen=True)
@@ -154,16 +165,6 @@ class LimitRow:
     quad_error: float
     bound: float
     within_bound: bool
-
-
-def _param_box(surface):
-    """Per-axis (lo, hi) parameter bounds from the surface's param_range."""
-    rng = surface.param_range
-    if rng is None:
-        raise DomainError(f"surface {surface.name!r} has no param_range")
-    if np.ndim(rng[0]) == 0:
-        return [(float(rng[0]), float(rng[1]))]
-    return [(float(lo), float(hi)) for lo, hi in rng]
 
 
 def _height_lines(surface, direction):
@@ -261,10 +262,11 @@ def _phi_rule(cuts, events, top, points):
     return warp(u, a[i], b[i], mapped[i]), w * stretch
 
 
-def _row_rules(surface, box, direction, width, level):
+def _row_rules(surface, direction, width, level):
     """Coarse and fine rules, with chart points and area densities, for weights of
     kink `level` and peak `width` along `direction`; None if the weight is 1."""
     frequency, lines = _height_lines(surface, np.asarray(direction, dtype=float))
+    box = surface.ranges
     span = sorted(frequency * np.asarray(box[0]))
     top = lambda phi: _line_top(lines(phi), span) / (1.0 + width)
     cuts, events = _phi_cuts(lines, span, box[1], level, top) if box[1:] else (np.zeros(1), None)
@@ -287,15 +289,12 @@ def _limit_rows(surface, table, bound, band, measure=None):
     a fine rule; the fine area is the volume, the gap its error, band >= 0 the slack."""
     if not band >= 0.0:
         raise DomainError(f"band must be a nonnegative relative slack, got {band!r}")
-    box = _param_box(surface)
-    if not isinstance(surface, _FrameSurface):
-        raise DomainError(f"surface {surface.name!r} is not a frame chart of this module")
     rules, rows = {}, [None] * len(table)
     for i in sorted(range(len(table)), key=lambda i: table[i][3]):  # narrowest peaks first
         parameter, direction, level, width, weight = table[i]
         key = (tuple(np.round(direction, 12) + 0.0), level)
         if key not in rules:
-            rules[key] = width < math.inf and _row_rules(surface, box, direction, width, level)
+            rules[key] = width < math.inf and _row_rules(surface, direction, width, level)
         if not rules[key] or width == math.inf:
             measure = coarse = volume = surface_measure(surface) if measure is None else measure
         else:

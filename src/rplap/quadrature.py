@@ -7,10 +7,9 @@ N/2 nodes hold one representative of every antipodal pair, and an even
 integrand's integral over projective space is its sum over those nodes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 import math
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_chebyu
@@ -22,7 +21,6 @@ __all__ = [
     "sphere_volume",
     "projective_volume",
     "build_sphere_rule",
-    "ParamSurface",
     "surface_measure",
     "interval_rule",
     "graded_interval_rule",
@@ -134,32 +132,9 @@ def _values_at_nodes(f, nodes, what="integrand"):
 # Parametric surfaces
 
 
-@dataclass
-class ParamSurface:
-    """Surface chart into a sphere with a quadrature rule on its parameters.
-
-    chart maps parameter rows (N, param_dim) -> ambient rows (N, M+1), and
-    jacobian maps them to its analytic Jacobian (N, M+1, param_dim).
-    """
-
-    param_dim: int
-    chart: Callable[[np.ndarray], np.ndarray]
-    nodes: np.ndarray
-    weights: np.ndarray
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-    param_range: Optional[tuple] = None  # exact domain: (lo, hi), or one such per axis
-
-    def with_rule(self, nodes, weights):
-        return replace(
-            self,
-            nodes=np.asarray(nodes, dtype=float),
-            weights=np.asarray(weights, dtype=float),
-        )
-
-
 def _chart_density(surface):
-    """Chart points and area density sqrt(det(J^T J)) at the surface's nodes."""
+    """Chart points and area density sqrt(det(J^T J)) at the nodes of `surface`,
+    any object with chart, jacobian, nodes and weights."""
     points = _values_at_nodes(surface.chart, surface.nodes, what="chart")
     jac = np.asarray(surface.jacobian(surface.nodes), dtype=float)
     gram = np.einsum("nij,nik->njk", jac, jac)
@@ -172,7 +147,7 @@ def _chart_density(surface):
 
 
 def _weighted_area(surface, points, density, weight):
-    """sum_i w_i * weight(points_i) * density_i over the surface's rule."""
+    """sum_i w_i * weight(points_i) * density_i over the `weights` w_i of any surface."""
     if weight is not None:
         density = density * _values_at_nodes(weight, points, what="surface weight")
     if not np.all(np.isfinite(density)):
@@ -183,9 +158,9 @@ def _weighted_area(surface, points, density, weight):
 def surface_measure(surface, weight=None):
     """Weighted area of the chart image, counted with multiplicity.
 
-    Computes sum_i w_i * weight(chart(z_i)) * sqrt(det(J^T J))(z_i) over the
-    surface's parameter rule; integrate on another rule through
-    `surface.with_rule(nodes, weights)`.
+    Computes sum_i w_i * weight(chart(z_i)) * sqrt(det(J^T J))(z_i) over the rule
+    (z_i, w_i) of `surface`: any object with a `chart` (N, param_dim) -> (N, M+1),
+    its `jacobian` (N, M+1, param_dim), and the rule's `nodes` and `weights`.
     """
     return _weighted_area(surface, *_chart_density(surface), weight)
 

@@ -327,13 +327,10 @@ def assemble_matrices(w, basis_degree=None):
 class EigenResult:
     """Ascending eigenvalues (with multiplicity) and mass-orthonormal vectors."""
 
-    sphere_dim: int
     basis_degree: int
     eigenvalues: np.ndarray
     vectors: np.ndarray  # columns, mass-orthonormal
     basis: harmonics.HarmonicBasis
-    factor: ConformalFactor
-    rule_exactness: int
 
 
 def eigenvalues(w, basis_degree=None, count=None):
@@ -344,7 +341,7 @@ def eigenvalues(w, basis_degree=None, count=None):
     """
     if count is not None and count < 1:
         raise DomainError(f"eigenvalue count must be >= 1, got {count}")
-    stiffness, mass, base, rule = assemble_matrices(w, basis_degree)
+    stiffness, mass, base, _ = assemble_matrices(w, basis_degree)
     try:
         vals, vecs = scipy.linalg.eigh(stiffness, mass)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -356,15 +353,7 @@ def eigenvalues(w, basis_degree=None, count=None):
     if count is not None:
         vals = vals[:count]
         vecs = vecs[:, :count]
-    return EigenResult(
-        sphere_dim=w.sphere_dim,
-        basis_degree=base.max_degree,
-        eigenvalues=vals,
-        vectors=vecs,
-        basis=base,
-        factor=w,
-        rule_exactness=rule.exactness,
-    )
+    return EigenResult(basis_degree=base.max_degree, eigenvalues=vals, vectors=vecs, basis=base)
 
 
 def first_excited_state(result):

@@ -207,8 +207,9 @@ class SphericalCap:
     def __init__(self, pole, t):
         self.pole = as_unit(np.asarray(pole, dtype=float))
         t = np.asarray(t, dtype=float)
-        if not np.all((0.0 <= t) & (t <= CAP_T_MAX)):
-            raise DomainError(f"cap parameter t = {t} outside [0, {CAP_T_MAX}]")
+        outside = t[~((0.0 <= t) & (t <= CAP_T_MAX))]
+        if outside.size:
+            raise DomainError(f"cap parameter t = {float(outside[0])!r} outside [0, {CAP_T_MAX}]")
         self.t = float(t) if t.ndim == 0 else t
 
     @property

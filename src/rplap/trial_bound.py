@@ -158,7 +158,8 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
     """Newton centering of K measures at once: atoms (K, N, m), weights (N,).
 
     A measure leaves the batch at residual <= tol, or with ConvergenceError
-    once no halving of its step down to SEARCH_MIN_SCALE lowers the residual.
+    once no halving of its step down to SEARCH_MIN_SCALE lowers the residual,
+    after max_iter rounds, or at a non-finite residual; the message names which.
     A trial center off the open ball or with a degenerate Moebius denominator
     is a rejected step.
     """
@@ -184,9 +185,16 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
     )
     worst = int(np.argmax(res))  # the first NaN, if any
     if not res[worst] <= tol:
+        k = int(iterations[worst])  # rows stop at the cap or after a round that did not help
+        if not np.isfinite(res[worst]):
+            reason = "non-finite residual"
+        elif k == max_iter and (k == 0 or history[k][worst] < history[k - 1][worst]):
+            reason = f"iteration cap {max_iter} reached"
+        else:
+            reason = f"no step halving to 2^{math.log2(SEARCH_MIN_SCALE):g} lowered the residual"
         raise ConvergenceError(
             f"center of mass stopped at residual {res[worst]:.3g} after "
-            f"{iterations[worst]} iterations (tolerance {tol:.3g})",
+            f"{k} iterations (tolerance {tol:.3g}): {reason}",
             [float(h[worst]) for h in history],
         )
     return centers, moved, res, iterations, history
@@ -353,11 +361,14 @@ def search_vector_field_zero(
     tangent coordinates and t, for at most `maxiter` rounds, each with one
     batch of forward-difference Jacobians.  A start stops at |V| / mass <=
     SEARCH_TOL, when no halving of its step lowers the residual, or when a
-    round fails to cut it below SEARCH_PROGRESS times the last.  `seed` seeds
+    round fails to cut it below SEARCH_PROGRESS times the last.  t runs over
+    [0, min(t_max, 0.999)]; t_max must be >= 0 (DomainError).  `seed` seeds
     the slice fit; the result is deterministic.  V is only as accurate as its
     center, so the centering tolerance SEARCH_COM_TOL sits below the
     polish's target.
     """
+    if not 0.0 <= t_max:
+        raise DomainError(f"t_max must be >= 0, got {t_max!r}")
     rule = build_sphere_rule(w.sphere_dim, 12)
     w = spectral.normalize_volume(w, rule=rule)
     f = spectral.first_excited_state(spectral.eigenvalues(w, basis_degree))

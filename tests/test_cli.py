@@ -105,6 +105,29 @@ def test_com_solve_near_the_sphere_is_never_a_configuration_error(capsys):
     assert "configuration error" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--shift", "0.5,0,0", "--pairs", "16", "--max-iter", "2"), "iteration cap 2 reached"),
+        (("--shift", "0.9999999,0,0"), "no step halving to 2^-10 lowered the residual"),
+    ],
+    ids=["cap", "halving"],
+)
+def test_com_solve_failure_names_why_it_stopped(capsys, argv, reason):
+    code, _, err = run(capsys, "com-solve", *argv)
+    assert code == 3
+    assert err.startswith("numerical failure: center of mass stopped at residual")
+    assert err.endswith(f": {reason}\n")
+
+
+@pytest.mark.parametrize("t_max", ["-1", "nan"])
+def test_vfield_search_t_max_below_zero_is_a_one_line_config_error(capsys, t_max):
+    code, out, err = run(capsys, "vfield-search", "--t-max", t_max)
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: t_max must be >= 0, got {float(t_max)!r}\n"
+
+
 def test_vfield_search_below_threshold_exits_1(capsys, tmp_path):
     json_path = tmp_path / "vf.json"
     code, out, _ = run(

@@ -1,11 +1,16 @@
-from dataclasses import replace
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rplap.degen_limits import (
+    FrameChart,
+    _height_lines,
     cap_patch,
     circle_arc,
     fold_limit_volume,
@@ -14,7 +19,7 @@ from rplap.degen_limits import (
 )
 from rplap import sphere_geom as sg
 from rplap.errors import DomainError
-from rplap.quadrature import ParamSurface, surface_measure
+from rplap.quadrature import surface_measure
 from rplap.sphere_geom import moebius_apply, moebius_factor
 from rplap.veronese import veronese_apply
 
@@ -51,7 +56,7 @@ def test_veronese_patch_area_scales_by_three():
     npt.assert_allclose(surface_measure(patch), 3.0 * base_area, rtol=1e-10)
 
 
-@pytest.mark.parametrize(
+CHARTS = pytest.mark.parametrize(
     "surface",
     [
         circle_arc(np.array([0.6, 0.0, 0.8]), np.array([0.3, -1.0, 0.2]), (-2.0, 2.5)),
@@ -61,6 +66,9 @@ def test_veronese_patch_area_scales_by_three():
     ],
     ids=["arc", "cap", "cap-near-e1", "veronese"],
 )
+
+
+@CHARTS
 def test_surface_jacobians_match_central_differences(surface):
     # each column, signs included: the areas above only see sqrt(det J^T J)
     nodes, step = surface.nodes, 1e-6
@@ -68,6 +76,26 @@ def test_surface_jacobians_match_central_differences(surface):
     for axis in np.eye(surface.param_dim):
         fd = (surface.chart(nodes + step * axis) - surface.chart(nodes - step * axis)) / (2 * step)
         npt.assert_allclose(jac @ axis, fd, rtol=0, atol=1e-8)
+
+
+@CHARTS
+@given(
+    arrays(float, 5, elements=st.floats(-1.0, 1.0)),
+    arrays(float, (8, 2), elements=st.floats(0.0, 1.0)),
+)
+def test_height_lines_give_the_chart_height(surface, direction, fractions):
+    # the contract the kink cuts rely on: on the line of fixed phi, chart . e is
+    # mean + amp cos(frequency r - psi), for any direction e
+    direction = direction[: surface.chart(surface.nodes[:1]).shape[1]]
+    assume(np.linalg.norm(direction) > 0.1)
+    direction /= np.linalg.norm(direction)
+    low, high = np.array(surface.ranges).T
+    params = low + fractions[:, : surface.param_dim] * (high - low)
+    r, phi = params[:, 0], params[:, 1] if surface.param_dim == 2 else np.zeros(len(params))
+    frequency, lines = _height_lines(surface, direction)
+    mean, amp, psi = lines(phi)
+    height = mean + amp * np.cos(frequency * r - psi)
+    npt.assert_allclose(surface.chart(params) @ direction, height, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +199,8 @@ def test_moebius_two_routes_agree():
         jacobian = lambda params: sg._moebius_differential(
             x, surface.chart(params), surface.jacobian(params)
         )
-        direct = surface_measure(replace(surface, chart=chart, jacobian=jacobian))
+        rule = {"nodes": surface.nodes, "weights": surface.weights}
+        direct = surface_measure(SimpleNamespace(chart=chart, jacobian=jacobian, **rule))
         npt.assert_allclose(weighted, direct, rtol=rtol)
 
 
@@ -182,11 +211,12 @@ def test_moebius_two_routes_agree():
 def _counting(surface):
     calls = []
 
-    def chart(params):
-        calls.append(len(params))
-        return surface.chart(params)
+    class Counting(FrameChart):  # with_rule keeps the class, so ruled copies count too
+        def chart(self, params):
+            calls.append(len(params))
+            return super().chart(params)
 
-    return replace(surface, chart=chart), calls
+    return Counting(**vars(surface)), calls
 
 
 V_POLE = veronese_apply(2, np.array([[1.0, 0.0, 0.0]]))[0]
@@ -284,18 +314,3 @@ def test_weights_equal_to_one_give_the_surface_measure_exactly():
     quarter = circle_arc(-POLE, ORTH, (-math.pi / 4, math.pi / 4))
     for row in fold_limit_volume(quarter, POLE, [0.0, 0.5, 0.999]):
         assert (row.volume, row.quad_error) == (surface_measure(quarter), 0.0)
-
-
-def test_limit_tables_need_a_frame_chart():
-    arc = circle_arc(POLE, ORTH, (-1.0, 1.0))
-    plain = ParamSurface(
-        1, arc.chart, arc.nodes, arc.weights, jacobian=arc.jacobian, name="plain", param_range=(-1.0, 1.0)
-    )
-    with pytest.raises(DomainError, match="plain"):
-        fold_limit_volume(plain, POLE, [0.5])
-
-
-def test_limit_tables_need_a_parameter_range():
-    arc = circle_arc(POLE, ORTH, (-1.0, 1.0), name="rangeless")
-    with pytest.raises(DomainError, match="rangeless"):
-        fold_limit_volume(replace(arc, param_range=None), POLE, [0.5])

@@ -177,7 +177,7 @@ def test_product_rectangle_rule_is_separable():
 def test_circle_arc_measure_is_its_angle():
     arc = circle_arc(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]), (-0.4, 1.1))
     npt.assert_allclose(surface_measure(arc), 1.5, rtol=1e-12)
-    assert arc.param_range == (-0.4, 1.1)
+    assert arc.ranges == ((-0.4, 1.1),)
 
 
 def test_surface_measure_accepts_rule_overrides():
@@ -193,6 +193,6 @@ def test_with_rule_swaps_nodes_only():
     nodes, weights = interval_rule(0.0, 1.0, 11)
     swapped = arc.with_rule(nodes, weights)
     assert swapped.nodes.shape[0] == 11
-    assert swapped.param_range == arc.param_range
-    assert swapped.chart is arc.chart
+    assert swapped.ranges == arc.ranges
+    assert swapped.frame is arc.frame
     npt.assert_allclose(surface_measure(swapped), 1.0, rtol=1e-12)

@@ -135,6 +135,14 @@ def test_cap_family_limits():
         SphericalCap(pole, -0.1)
 
 
+def test_stacked_cap_error_names_the_first_parameter_outside():
+    ts = np.full((2000, 1, 1), 0.5)
+    ts[7], ts[9] = np.nan, -1.0
+    with pytest.raises(DomainError) as info:
+        SphericalCap(np.eye(3)[:1, None], ts)
+    assert str(info.value) == f"cap parameter t = nan outside [0, {CAP_T_MAX}]"
+
+
 @given(st.floats(0.0, 0.95))
 def test_cap_boundary_height(t):
     pole = np.array([0.0, 1.0, 0.0, 0.0])

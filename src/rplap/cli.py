@@ -4,14 +4,21 @@ Each option is declared once, in `build_parser`, with its type and default.
 Options resolve in three layers: command-line flags override the command's
 own section in an INI config file, which overrides its [defaults] section.
 Config values become argparse defaults, so they are parsed like flags, and
-a bad value, from either place, is reported under its flag's name.
-Exit codes: 0 = pass, 1 = a checked assertion failed (vfield-search: the
-best residual is above --threshold), 2 = configuration error, 3 = numerical
-failure (non-convergence, unresolved integer, ...).
+a bad value, from either place, is reported under its flag's name.  A
+config section must be [defaults] or a command name, and each of its keys
+an option of that command ([defaults]: of some command).
+
+Every `cmd_*` returns `(passed, payload, rows)`.  `main` puts the `command`
+key first in the payload, writes it to --json and the rows to --csv, and
+exits 0 if `passed` else 1.  Exit codes: 0 = pass, 1 = a checked assertion
+failed (vfield-search: the best residual is above --threshold), 2 =
+configuration error, 3 = numerical failure (non-convergence, unresolved
+integer, ...).
 """
 
 import argparse
 import configparser
+import dataclasses
 import math
 import sys
 
@@ -20,7 +27,7 @@ import numpy as np
 from . import bounds, degen_limits, degree_lab, spectral, trial_bound, veronese
 from .errors import ConfigError, DomainError, NumericError
 from .quadrature import build_sphere_rule
-from .reporting import jsonable, write_csv, write_json
+from .reporting import write_csv, write_json
 from .sphere_geom import SphericalCap, tangent_basis
 
 def _to_bool(text):
@@ -75,12 +82,15 @@ def _one_of(*names):
 
 def _at_least(low, parse=int):
     """A type that parses with `parse` (to a number or a list of numbers)
-    and accepts no value below `low`."""
+    and accepts only finite values, none below `low`."""
 
     def check(text):
         value = parse(text)
-        if min(value if isinstance(value, list) else [value]) < low:
+        values = value if isinstance(value, list) else [value]
+        if not all(v >= low for v in values):  # NaN fails this too
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        if math.inf in values:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
 
     check.__name__ = parse.__name__  # argparse names an unparsable value's type by it
@@ -96,7 +106,8 @@ def _pole(text):
 
 
 def _load_config(path):
-    parser = configparser.ConfigParser()
+    # no header can name the empty section, so [DEFAULT] is an ordinary (unknown) one
+    parser = configparser.ConfigParser(default_section="")
     try:
         loaded = parser.read(path)
     except configparser.Error as exc:
@@ -104,6 +115,25 @@ def _load_config(path):
     if not loaded:
         raise ConfigError(f"cannot read config file: {path}")
     return parser
+
+
+def _config_defaults(path, commands, command):
+    """The option defaults that INI file `path` gives `command`: its [defaults]
+    section, overridden by its [command] section.  Every section must be
+    [defaults] or a command, and every key an option of the section's command
+    (for [defaults], of some command)."""
+    config = _load_config(path)
+    options = {name: vars(sub.parse_args([])).keys() - {"run"} for name, sub in commands.items()}
+    options["defaults"] = set().union(*options.values())
+    for section in config.sections():
+        if section not in options:
+            raise ConfigError(f"config file {path}: unknown section [{section}]")
+        unknown = [k for k in config[section] if k.replace("-", "_") not in options[section]]
+        if unknown:
+            raise ConfigError(f"config file {path}: [{section}] has no option {unknown[0]!r}")
+    layers = [config.items(s) for s in ("defaults", command) if config.has_section(s)]
+    items = [(k.replace("-", "_"), v) for layer in layers for k, v in layer]
+    return {k: v for k, v in items if k in options[command]}
 
 
 def _unit_from(values, ambient, what):
@@ -127,6 +157,14 @@ def _cap_pole(pole, n):
 
 def _status(flag):
     return "pass" if flag else "FAIL"
+
+
+def _checked_rows(rows, flag, line):
+    """Print `[pass|FAIL] line` per row, with `line` formatted from the row's
+    fields and the status read from its `flag` field; True if every row passes."""
+    for row in rows:
+        print(f"[{_status(row[flag])}] {line.format_map(row)}")
+    return all(row[flag] for row in rows)
 
 
 # --- commands ----------------------------------------------------------------
@@ -161,20 +199,20 @@ def cmd_veronese_check(args):
                 "passed": passed,
             }
         )
-        print(
-            f"[{_status(passed)}] n={n}: |image|-1 within {norm_dev:.2e}, "
-            f"Gram within {gram_dev:.2e}, evenness within {even_dev:.2e}"
-        )
-    ok = all(r["passed"] for r in rows)
+    ok = _checked_rows(
+        rows,
+        "passed",
+        "n={dim}: |image|-1 within {norm_dev:.2e}, Gram within {gram_dev:.2e}, "
+        "evenness within {even_dev:.2e}",
+    )
     payload = {
-        "command": "veronese-check",
         "seed": args.seed,
         "norm_tol": args.norm_tol,
         "gram_tol": args.gram_tol,
         "rows": rows,
         "passed": ok,
     }
-    return (0 if ok else 1), payload, rows
+    return ok, payload, rows
 
 
 def cmd_spectrum(args):
@@ -184,22 +222,18 @@ def cmd_spectrum(args):
         factor = spectral.normalize_volume(factor)
     result = spectral.eigenvalues(factor, args.degree, count=args.count)
     clusters = spectral.cluster_eigenvalues(result.eigenvalues)
-    rows = [
-        {"index": i, "eigenvalue": float(v)}
-        for i, v in enumerate(result.eigenvalues)
-    ]
+    eigenvalues = [float(v) for v in result.eigenvalues]
     print(f"metric: {factor.label} on dimension {n}")
     for value, mult in clusters:
         print(f"  eigenvalue {value:.10f}  multiplicity {mult}")
     payload = {
-        "command": "spectrum",
         "dim": n,
         "factor": factor.label,
         "basis_degree": result.basis_degree,
-        "eigenvalues": [float(v) for v in result.eigenvalues],
+        "eigenvalues": eigenvalues,
         "clusters": [{"value": v, "multiplicity": m} for v, m in clusters],
     }
-    return 0, payload, rows
+    return True, payload, [{"index": i, "eigenvalue": v} for i, v in enumerate(eigenvalues)]
 
 
 def cmd_theorem_check(args):
@@ -214,16 +248,10 @@ def cmd_theorem_check(args):
         print(f"  sharp two-dimensional constant for comparison: {report.tight_bound:.8f}")
     if report.convergence_gap is not None:
         print(f"  basis-degree convergence gap: {report.convergence_gap:.3e}")
-    row = {
-        "dim": n,
-        "factor": report.factor_label,
-        "lambda_2": report.lambda_2,
-        "bound": report.bound,
-        "margin": report.margin,
-        "passed": report.passed,
-    }
-    payload = {"command": "theorem-check", **jsonable(report)}
-    return (0 if report.passed else 1), payload, [row]
+    payload = dataclasses.asdict(report)
+    row = {"dim": n, "factor": report.factor_label}
+    row |= {k: payload[k] for k in ("lambda_2", "bound", "margin", "passed")}
+    return report.passed, payload, [row]
 
 
 def cmd_rayleigh_chain(args):
@@ -242,24 +270,19 @@ def cmd_rayleigh_chain(args):
         }
         for s in report.stages
     ]
-    for row in rows:
-        print(
-            f"[{_status(row['passed'])}] {row['stage']}: "
-            f"lhs {row['lhs']:.12e}  rhs {row['rhs']:.12e}"
-        )
+    _checked_rows(rows, "passed", "{stage}: lhs {lhs:.12e}  rhs {rhs:.12e}")
     print(f"[{_status(report.passed)}] chain overall")
     payload = {
-        "command": "rayleigh-chain",
         "dim": n,
         "factor": factor.label,
         "t": report.t,
-        "pole": jsonable(report.pole),
-        "center": jsonable(report.center),
+        "pole": report.pole,
+        "center": report.center,
         "stages": rows,
-        "values": jsonable(report.values),
+        "values": report.values,
         "passed": report.passed,
     }
-    return (0 if report.passed else 1), payload, rows
+    return report.passed, payload, rows
 
 
 def cmd_com_solve(args):
@@ -289,21 +312,15 @@ def cmd_com_solve(args):
         error = float(np.linalg.norm(result.center - expected))
         print(f"  recovery error vs. exact center: {error:.3e}")
     payload = {
-        "command": "com-solve",
         "measure": label,
-        "center": jsonable(result.center),
+        "center": result.center,
         "residual": result.residual,
         "verified_residual": result.verified_residual,
         "iterations": result.iterations,
         "recovery_error": error,
     }
-    row = {
-        "measure": label,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "recovery_error": error,
-    }
-    return 0, payload, [row]
+    row = {k: payload[k] for k in ("measure", "residual", "iterations", "recovery_error")}
+    return True, payload, [row]
 
 
 def cmd_vfield_search(args):
@@ -328,29 +345,37 @@ def cmd_vfield_search(args):
         for i, (r, t) in enumerate(result.start_results)
     ]
     payload = {
-        "command": "vfield-search",
         "dim": args.dim,
         "factor": factor.label,
-        "pole": jsonable(result.pole),
+        "pole": result.pole,
         "t": result.t,
-        "center": jsonable(result.center),
+        "center": result.center,
         "residual": result.residual,
         "mass": result.mass,
         "evaluations": result.evaluations,
         "threshold": args.threshold,
         "meets_threshold": meets,
-        "trace_tail": [float(v) for v in result.trace[-20:]],
+        "trace_tail": result.trace[-20:],
     }
-    return (0 if meets else 1), payload, rows
+    return meets, payload, rows
+
+
+# a degree route by name: route(sphere map, seed) -> its degree result
+_DEGREE_ROUTES = {
+    "integral": lambda f, seed: degree_lab.degree_integral(f),
+    "regular-value": lambda f, seed: degree_lab.degree_regular_value(f, seed=seed),
+}
+# degree --method name -> the routes it runs, by name, in report order
+DEGREE_METHODS = {
+    **{name: {name: route} for name, route in _DEGREE_ROUTES.items()},
+    "both": _DEGREE_ROUTES,
+}
 
 
 def cmd_degree(args):
-    sphere_map, method = degree_lab.registry()[args.map], args.method
-    results = {}
-    if method in {"both", "integral"}:
-        results["integral"] = degree_lab.degree_integral(sphere_map)
-    if method in {"both", "regular-value"}:
-        results["regular-value"] = degree_lab.degree_regular_value(sphere_map, seed=args.seed)
+    sphere_map = degree_lab.registry()[args.map]
+    routes = DEGREE_METHODS[args.method].items()
+    results = {key: route(sphere_map, args.seed) for key, route in routes}
     degrees = {k: r.degree for k, r in results.items()}
     agree = len(set(degrees.values())) == 1
     for key, res in results.items():
@@ -364,24 +389,20 @@ def cmd_degree(args):
     symmetry = None
     if sphere_map.dim % 2 == 1 and sphere_map.dim >= 3:
         half = (sphere_map.dim - 1) // 2
-        report = degree_lab.reflection_symmetry_check(sphere_map, half, seed=args.seed)
-        symmetry = jsonable(report)
+        symmetry = degree_lab.reflection_symmetry_check(sphere_map, half, seed=args.seed)
         print(
-            f"block-reflection symmetry: {_status(report.passes)} "
-            f"(pair dev {report.pair_deviation:.2e}, "
-            f"equator dev {report.equator_deviation:.2e})"
+            f"block-reflection symmetry: {_status(symmetry.passes)} "
+            f"(pair dev {symmetry.pair_deviation:.2e}, "
+            f"equator dev {symmetry.equator_deviation:.2e})"
         )
 
-    paired_ok = True
-    paired_payload = None
+    passed, paired = agree, None
     if args.paired:
-        paired_payload = []
+        paired = []
         for builder in (degree_lab.shifted_identity_example, degree_lab.zero_free_example):
             func, region, expected = builder()
             report = degree_lab.paired_degree_check(func, region, 1, seed=args.seed)
-            ok = report.holds and report.degree_minus == expected
-            paired_ok = paired_ok and ok
-            paired_payload.append(
+            paired.append(
                 {
                     "example": builder.__name__,
                     "degree_minus": report.degree_minus,
@@ -389,78 +410,71 @@ def cmd_degree(args):
                     "parity": report.parity,
                     "expected": expected,
                     "holds": report.holds,
-                    "passed": ok,
+                    "passed": report.holds and report.degree_minus == expected,
                 }
             )
-            print(
-                f"[{_status(ok)}] {builder.__name__}: deg_- = {report.degree_minus}, "
-                f"deg_+ = {report.degree_plus}, parity {report.parity}"
-            )
+        line = "{example}: deg_- = {degree_minus}, deg_+ = {degree_plus}, parity {parity}"
+        passed = _checked_rows(paired, "passed", line) and agree
 
-    code = 0 if (agree and paired_ok) else 1
     rows = [
         {"map": sphere_map.name, "method": k, "degree": r.degree, "raw": r.raw}
         for k, r in results.items()
     ]
     payload = {
-        "command": "degree",
         "map": sphere_map.name,
         "degrees": degrees,
         "agree": agree,
         "symmetry": symmetry,
-        "paired": paired_payload,
+        "paired": paired,
     }
-    return code, payload, rows
+    return passed, payload, rows
 
 
-def _orth_direction(pole):
-    return tangent_basis(pole[None])[0][:, 0]
+def _arc(through, toward, half_angle, name):
+    """The great-circle arc through `through` of angles within `half_angle`,
+    heading along the first tangent direction at `toward`."""
+    direction = tangent_basis(toward[None])[0][:, 0]
+    return degen_limits.circle_arc(through, direction, (-half_angle, half_angle), name=name)
 
 
-def _fold_surface(kind, pole):
-    if kind == "half-circle":
-        return degen_limits.circle_arc(
-            pole, _orth_direction(pole), (-0.5 * math.pi, 0.5 * math.pi), name=kind
-        )
-    if kind == "quarter-arc":
-        return degen_limits.circle_arc(
-            -pole, _orth_direction(pole), (-0.25 * math.pi, 0.25 * math.pi), name=kind
-        )
-    if kind == "veronese-patch":
-        return degen_limits.veronese_patch(
-            (0.5 * math.pi - 0.5, 0.5 * math.pi + 0.5), (-0.5, 0.5)
-        )
-    return degen_limits.cap_patch(pole, 0.8)
+def _north():
+    return np.eye(3)[-1]
+
+
+# limits-fold --surface name -> (default pole, surface(pole, name))
+FOLD_SURFACES = {
+    "half-circle": (_north, lambda pole, name: _arc(pole, pole, 0.5 * math.pi, name)),
+    "quarter-arc": (_north, lambda pole, name: _arc(-pole, pole, 0.25 * math.pi, name)),
+    "veronese-patch": (
+        lambda: veronese.veronese_apply(2, np.eye(3)[:1])[0],
+        lambda pole, name: degen_limits.veronese_patch(
+            (0.5 * math.pi - 0.5, 0.5 * math.pi + 0.5), (-0.5, 0.5), name=name
+        ),
+    ),
+    "cap-patch": (_north, lambda pole, name: degen_limits.cap_patch(pole, 0.8, name=name)),
+}
+
+# limits-moebius --surface name -> surface(collapse direction, name)
+MOEBIUS_SURFACES = {
+    "full-circle": lambda direction, name: _arc(-direction, direction, math.pi, name),
+    "avoiding-arc": lambda direction, name: _arc(direction, direction, 0.25 * math.pi, name),
+}
 
 
 def _limit_report(args, surface, limit_rows, parameter):
     """Print and package the rows of a limit-volume table over `parameter`."""
-    rows = [jsonable(r) for r in limit_rows]
-    for row in rows:
-        print(
-            f"[{_status(row['within_bound'])}] {parameter} = {row['parameter']:<7g} "
-            f"volume {row['volume']:.8f}  bound {row['bound']:.8f}"
-        )
-    ok = all(r["within_bound"] for r in rows)
-    payload = {
-        "command": args.command,
-        "surface": surface.name,
-        "band": args.band,
-        "rows": rows,
-        "passed": ok,
-    }
-    return (0 if ok else 1), payload, rows
+    rows = [dataclasses.asdict(r) for r in limit_rows]
+    line = parameter + " = {parameter:<7g} volume {volume:.8f}  bound {bound:.8f}"
+    ok = _checked_rows(rows, "within_bound", line)
+    return ok, {"surface": surface.name, "band": args.band, "rows": rows, "passed": ok}, rows
 
 
 def cmd_limits_fold(args):
-    if args.surface == "veronese-patch":
-        ambient = veronese.output_dim(2)
-        default_pole = veronese.veronese_apply(2, np.eye(3)[0][None])[0]
-    else:
-        ambient = 3
-        default_pole = np.eye(ambient)[-1]
-    pole = default_pole if args.pole is None else _unit_from(args.pole, ambient, "pole")
-    surface = _fold_surface(args.surface, pole)
+    default_pole, build = FOLD_SURFACES[args.surface]
+    pole = default_pole()
+    if args.pole is not None:
+        pole = _unit_from(args.pole, pole.size, "pole")
+    surface = build(pole, args.surface)
     t_values = args.t_values
     if t_values is None:
         t_values = [0.0, 0.5, 0.9, 0.99, 0.999] if surface.param_dim == 1 else [0.0, 0.3, 0.6, 0.9]
@@ -469,20 +483,10 @@ def cmd_limits_fold(args):
 
 
 def cmd_limits_moebius(args):
-    direction = np.eye(3)[-1]
+    direction = _north()
     if args.direction is not None:
         direction = _unit_from(args.direction, 3, "direction")
-    if args.surface == "full-circle":
-        surface = degen_limits.circle_arc(
-            -direction, _orth_direction(direction), (-math.pi, math.pi), name=args.surface
-        )
-    else:
-        surface = degen_limits.circle_arc(
-            direction,
-            _orth_direction(direction),
-            (-0.25 * math.pi, 0.25 * math.pi),
-            name=args.surface,
-        )
+    surface = MOEBIUS_SURFACES[args.surface](direction, args.surface)
     if min(args.radii) < 0.0:
         raise ConfigError(f"--radii are distances |x| >= 0, got {min(args.radii):g}")
     ball_points = [r * direction for r in args.radii]
@@ -492,32 +496,15 @@ def cmd_limits_moebius(args):
 
 def cmd_ratio_table(args):
     pairs = bounds.ratio_table(args.n_max, n_min=args.n_min)
-    rows = []
-    ok = True
-    for pair in pairs:
-        sane = pair.ratio_lower <= pair.ratio < 1.0
-        ok = ok and sane
-        rows.append(
-            {
-                "dim": pair.dim,
-                "tight": pair.tight,
-                "coarse": pair.coarse,
-                "ratio": pair.ratio,
-                "ratio_lower": pair.ratio_lower,
-                "sane": sane,
-            }
-        )
-        print(
-            f"[{_status(sane)}] n = {pair.dim:<3d} tight {pair.tight:.10f}  "
-            f"coarse {pair.coarse:.10f}  ratio {pair.ratio:.10f}"
-        )
+    rows = [{**dataclasses.asdict(p), "sane": p.ratio_lower <= p.ratio < 1.0} for p in pairs]
+    line = "n = {dim:<3d} tight {tight:.10f}  coarse {coarse:.10f}  ratio {ratio:.10f}"
+    ok = _checked_rows(rows, "sane", line)
     if args.n_min <= 2 <= args.n_max:
-        two = next(p for p in pairs if p.dim == 2)
+        two = pairs[2 - args.n_min]
         exact = abs(two.tight - 10.0) < 1e-12 and abs(two.coarse - 12.0) < 1e-12
         ok = ok and exact
         print(f"[{_status(exact)}] two-dimensional constants are 10 and 12")
-    payload = {"command": "ratio-table", "rows": rows, "passed": ok}
-    return (0 if ok else 1), payload, rows
+    return ok, {"rows": rows, "passed": ok}, rows
 
 
 def build_parser():
@@ -542,6 +529,13 @@ def build_parser():
         sub.add_argument("--csv", help="write summary rows as CSV to this path")
         return sub
 
+    tolerance = _at_least(0, float)
+
+    def choice(sub, flag, table, default):
+        """`flag` takes one of `table`'s names; `default` is an index into them."""
+        names = list(table)
+        sub.add_argument(flag, type=_one_of(*names), default=names[default], help=" | ".join(names))
+
     def metric(sub):
         sub.add_argument("--dim", type=int, default=2, help="sphere dimension n")
         sub.add_argument(
@@ -552,8 +546,8 @@ def build_parser():
     sub.add_argument("--dims", type=_at_least(1, _ints), default="1-8", help="e.g. '1-8' or '2,3'")
     sub.add_argument("--samples", type=_at_least(1), default=200, help="samples per dimension")
     sub.add_argument("--seed", type=_at_least(0), default=0)
-    sub.add_argument("--norm-tol", type=float, default=1e-12)
-    sub.add_argument("--gram-tol", type=float, default=1e-10)
+    sub.add_argument("--norm-tol", type=tolerance, default=1e-12)
+    sub.add_argument("--gram-tol", type=tolerance, default=1e-10)
 
     sub = command("spectrum", cmd_spectrum, "Galerkin spectrum of a conformal metric")
     metric(sub)
@@ -586,7 +580,7 @@ def build_parser():
     sub.add_argument("--pole", type=_pole, help="pushforward mode: cap pole, as for rayleigh-chain")
     sub.add_argument("--t", type=float, default=0.5, help="pushforward mode: cap parameter")
     sub.add_argument("--degree", type=int, default=12, help="pushforward mode: rule exactness")
-    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--tol", type=tolerance, default=1e-10)
     sub.add_argument("--max-iter", type=_at_least(0), default=500)
     sub.add_argument("--seed", type=_at_least(0), default=0)
 
@@ -600,24 +594,20 @@ def build_parser():
     sub.add_argument("--t-max", type=float, default=0.999)
     sub.add_argument("--degree", type=int, help="harmonic basis degree cutoff")
     sub.add_argument(
-        "--threshold", type=float, default=1e-3, help="largest passing |V| / mass (else exit 1)"
+        "--threshold", type=tolerance, default=1e-3, help="largest passing |V| / mass (else exit 1)"
     )
 
     sub = command("degree", cmd_degree, "degree of a named sphere self-map")
     maps = sorted(degree_lab.registry())
     sub.add_argument("--map", type=_one_of(*maps), default="identity-s3", help=" | ".join(maps))
-    methods = ("integral", "regular-value", "both")
-    sub.add_argument("--method", type=_one_of(*methods), default="both", help=" | ".join(methods))
+    choice(sub, "--method", DEGREE_METHODS, -1)
     sub.add_argument("--seed", type=_at_least(0), default=0)
     sub.add_argument(
         "--paired", type=_to_bool, default=False, help="also run the paired box-degree examples"
     )
 
     sub = command("limits-fold", cmd_limits_fold, "fold volumes against the collapse bound")
-    surfaces = ("half-circle", "quarter-arc", "veronese-patch", "cap-patch")
-    sub.add_argument(
-        "--surface", type=_one_of(*surfaces), default="half-circle", help=" | ".join(surfaces)
-    )
+    choice(sub, "--surface", FOLD_SURFACES, 0)
     sub.add_argument("--pole", type=_floats, help="fold pole (comma floats)")
     sub.add_argument("--t-values", type=_floats, help="comma-separated cap parameters")
     sub.add_argument("--band", type=float, default=0.02, help="relative slack on the bound")
@@ -625,10 +615,7 @@ def build_parser():
     sub = command(
         "limits-moebius", cmd_limits_moebius, "Moebius volumes against the collapse bound"
     )
-    surfaces = ("full-circle", "avoiding-arc")
-    sub.add_argument(
-        "--surface", type=_one_of(*surfaces), default="full-circle", help=" | ".join(surfaces)
-    )
+    choice(sub, "--surface", MOEBIUS_SURFACES, 0)
     sub.add_argument("--direction", type=_floats, help="collapse direction (comma floats)")
     sub.add_argument(
         "--radii", type=_floats, default="0.5,0.9,0.99,0.999", help="comma-separated |x| values"
@@ -647,16 +634,13 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # [defaults], then the command's section, become the command's
-            # option defaults: flags still win, and argparse parses the values
-            config = _load_config(args.config)
-            options = vars(args).keys() - {"command", "run"}
-            for section in ("defaults", args.command):
-                if config.has_section(section):
-                    items = ((k.replace("-", "_"), v) for k, v in config.items(section))
-                    commands[args.command].set_defaults(**{k: v for k, v in items if k in options})
+            # config values become option defaults: flags still win, and
+            # argparse parses the values
+            defaults = _config_defaults(args.config, commands, args.command)
+            commands[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
-        code, payload, rows = args.run(args)
+        passed, payload, rows = args.run(args)
+        payload = {"command": args.command, **payload}
         if args.json:
             write_json(args.json, payload)
         if args.csv:
@@ -667,7 +651,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    return code
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -286,9 +286,9 @@ def _limit_rows(surface, table, bound, band, measure=None):
     """One LimitRow per (parameter, direction, level, width, weight) in `table`: a
     weight is 1 up to the height `level` along `direction`, then peaks like
     1 / (width + 1 - height).  Rows of one direction and level share a coarse and
-    a fine rule; the fine area is the volume, the gap its error, band >= 0 the slack."""
-    if not band >= 0.0:
-        raise DomainError(f"band must be a nonnegative relative slack, got {band!r}")
+    a fine rule; the fine area is the volume, the gap its error, a finite band >= 0 the slack."""
+    if not 0.0 <= band < math.inf:
+        raise DomainError(f"band must be a finite nonnegative relative slack, got {band!r}")
     rules, rows = {}, [None] * len(table)
     for i in sorted(range(len(table)), key=lambda i: table[i][3]):  # narrowest peaks first
         parameter, direction, level, width, weight = table[i]

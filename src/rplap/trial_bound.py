@@ -211,6 +211,8 @@ def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
     down to SEARCH_MIN_SCALE, until the residual decreases.  The returned
     residual is re-verified with exactly rounded summation.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be a positive finite residual, got {tol!r}")
     if start is not None:
         start = as_ball(start)[None]
     centers, moved, res, iterations, history = _center_iterate(

@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import rplap
+from rplap import cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rplap.__path__))
 
@@ -72,6 +73,60 @@ def test_slow_row_reduction_scan_finds_each_form():
     assert [hit.split(":")[0] for hit in _slow_row_reductions(source)] == [
         "line 1", "line 2", "line 3", "line 4",
     ]
+
+
+def _report_path_breaches(source):
+    """Lines in source where a `cmd_*` function writes a "command" key or
+    returns an int exit code; `main` owns both."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(func):
+            keys = node.keys if isinstance(node, ast.Dict) else []
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                keys = [node.slice]
+            if any(isinstance(k, ast.Constant) and k.value == "command" for k in keys):
+                found.append((node.lineno, f"{func.name} writes the command key"))
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
+                first = node.value.elts[0]
+                codes = [first.body, first.orelse] if isinstance(first, ast.IfExp) else [first]
+                if any(isinstance(c, ast.Constant) and type(c.value) is int for c in codes):
+                    found.append((node.lineno, f"{func.name} returns an exit code"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_commands_leave_the_report_path_to_main():
+    source = (Path(rplap.__file__).parent / "cli.py").read_text()
+    assert _report_path_breaches(source) == []
+
+
+def test_report_path_scan_finds_each_form():
+    source = "\n".join([
+        "def cmd_a(args):",
+        "    payload = {'command': 'a'}",
+        "    return 0, payload, []",
+        "def cmd_b(args):",
+        "    payload['command'] = 'b'",
+        "    return (0 if ok else 1), payload, []",
+        "def cmd_c(args):",
+        "    return ok, {'rows': []}, []",
+        "def main(argv=None):",
+        "    return 0 if ok else 1, {'command': 'x'}",
+    ])
+    assert [hit.split(":")[0] for hit in _report_path_breaches(source)] == [
+        "line 2", "line 3", "line 5", "line 6",
+    ]
+
+
+def test_surface_and_method_names_are_written_once():
+    # each --surface and --method name lives in one table, which both the
+    # parser and its command read
+    tree = ast.parse((Path(rplap.__file__).parent / "cli.py").read_text())
+    literals = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+    names = [*cli.FOLD_SURFACES, *cli.MOEBIUS_SURFACES, *cli.DEGREE_METHODS]
+    assert len(names) == 9
+    assert {name: literals.count(name) for name in names} == dict.fromkeys(names, 1)
 
 
 def test_perfbench_traced_layers_resolve():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rplap import cli
 from rplap.cli import main
 from rplap.reporting import write_csv, write_json
 
@@ -279,6 +280,32 @@ def test_degree_unknown_map_is_a_config_error(capsys):
     assert "configuration error" in err
 
 
+FOLD_ROWS = {"half-circle": 5, "quarter-arc": 5, "veronese-patch": 4, "cap-patch": 4}
+MOEBIUS_ROWS = {"full-circle": 4, "avoiding-arc": 4}
+DEGREE_ROWS = {"integral": 1, "regular-value": 1, "both": 2}
+
+
+@pytest.mark.parametrize(
+    "command, flag, name, count",
+    [("limits-fold", "--surface", *item) for item in FOLD_ROWS.items()]
+    + [("limits-moebius", "--surface", *item) for item in MOEBIUS_ROWS.items()]
+    + [("degree", "--method", *item) for item in DEGREE_ROWS.items()],
+)
+def test_every_surface_and_method_runs(capsys, tmp_path, command, flag, name, count):
+    csv_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, command, flag, name, "--csv", str(csv_path))
+    assert (code, err) == (0, "")
+    assert len(csv_path.read_text().splitlines()) == 1 + count
+    if command != "degree":
+        assert out.count("[pass]") == count
+
+
+def test_every_surface_and_method_is_covered():
+    assert list(cli.FOLD_SURFACES) == list(FOLD_ROWS)
+    assert list(cli.MOEBIUS_SURFACES) == list(MOEBIUS_ROWS)
+    assert list(cli.DEGREE_METHODS) == list(DEGREE_ROWS)
+
+
 def test_limits_fold_quarter_arc(capsys):
     code, out, _ = run(
         capsys, "limits-fold", "--surface", "quarter-arc", "--t-values", "0,0.9"
@@ -337,6 +364,30 @@ def test_negative_band_is_a_config_error(capsys, command):
     assert err.startswith("configuration error") and "band" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each of these used to run: exit 3 (no step halving), 3, 3, 0, 1, 1, 0, 1, 0, 0
+        ("com-solve", "--shift", "0.1,0,0", "--pairs", "16", "--tol", "nan"),
+        ("com-solve", "--shift", "0.1,0,0", "--pairs", "16", "--tol", "-1"),
+        ("com-solve", "--shift", "0.1,0,0", "--pairs", "16", "--tol", "0"),  # unreachable
+        ("com-solve", "--shift", "0.1,0,0", "--pairs", "16", "--tol", "inf"),
+        ("vfield-search", "--starts", "0", "--threshold", "nan"),
+        ("veronese-check", "--norm-tol", "nan"),
+        ("veronese-check", "--norm-tol", "inf"),
+        ("veronese-check", "--gram-tol", "-1"),
+        ("limits-fold", "--band", "inf"),
+        ("limits-moebius", "--band", "inf"),
+    ],
+)
+def test_vacuous_or_impossible_tolerance_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and argv[-2].strip("-") in err
+    assert err.count("\n") == 1
+
+
 def test_ratio_table(capsys, tmp_path):
     csv_path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "ratio-table", "--n-min", "2", "--n-max", "5", "--csv", str(csv_path))
@@ -375,6 +426,41 @@ def test_seed_layering_defaults_section_flag(capsys, tmp_path):
     config.write_text(config.read_text() + "\n[veronese-check]\nseed = 5\n")
     assert seed() == 5
     assert seed("--seed", "7") == 7
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[theorem-check]\ngapp = true\n", "[theorem-check] has no option 'gapp'"),
+        ("[defaults]\nfactr = zonal:0.5\n", "[defaults] has no option 'factr'"),
+        ("[theorem-chek]\ngap = true\n", "unknown section [theorem-chek]"),
+        (
+            "[spectrum]\ncount = 3\n[vfield-search]\nstart = 2\n",
+            "[vfield-search] has no option 'start'",
+        ),
+        ("[theorem-check]\nseed = 3\n", "[theorem-check] has no option 'seed'"),
+        ("[DEFAULT]\ngap = true\n", "unknown section [DEFAULT]"),
+    ],
+    ids=[
+        "own-key", "defaults-key", "section", "other-section-key", "other-command-key", "DEFAULT",
+    ],
+)
+def test_config_typo_is_a_config_error(capsys, tmp_path, text, named):
+    # each of these used to run theorem-check on its defaults and exit 0
+    config = tmp_path / "typo.ini"
+    config.write_text(text)
+    code, out, err = run(capsys, "theorem-check", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: config file {config}: {named}\n"
+
+
+def test_config_defaults_may_hold_other_commands_options(capsys, tmp_path):
+    config = tmp_path / "shared.ini"
+    config.write_text("[defaults]\nstarts = 2\nsamples = 10\ngap = true\n")
+    code, out, _ = run(capsys, "theorem-check", "--config", str(config))
+    assert code == 0
+    assert "basis-degree convergence gap" in out
 
 
 def test_bad_config_value_names_the_flag(capsys, tmp_path):

@@ -314,3 +314,13 @@ def test_weights_equal_to_one_give_the_surface_measure_exactly():
     quarter = circle_arc(-POLE, ORTH, (-math.pi / 4, math.pi / 4))
     for row in fold_limit_volume(quarter, POLE, [0.0, 0.5, 0.999]):
         assert (row.volume, row.quad_error) == (surface_measure(quarter), 0.0)
+
+
+@pytest.mark.parametrize("band", [math.inf, math.nan, -0.5])
+def test_limit_tables_need_a_finite_nonnegative_band(band):
+    # an infinite band let every row pass whatever its volume
+    arc = circle_arc(POLE, ORTH, (-0.5 * math.pi, 0.5 * math.pi))
+    with pytest.raises(DomainError, match="band"):
+        fold_limit_volume(arc, POLE, [0.5], band=band)
+    with pytest.raises(DomainError, match="band"):
+        moebius_limit_volume(arc, [0.5 * POLE], band=band)

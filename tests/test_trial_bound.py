@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -202,6 +203,15 @@ def test_center_rejects_a_start_outside_the_open_ball(start):
     measure = moebius_shifted_uniform(3, np.array([0.2, 0.0, 0.0]), pairs=16)
     with pytest.raises(DomainError):
         center_of_mass(measure, start=np.array(start))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_center_rejects_a_tolerance_outside_zero_to_infinity(tol):
+    # NaN or a negative tol used to run to a "no step halving" ConvergenceError,
+    # and an infinite one stopped at once
+    measure = moebius_shifted_uniform(3, np.array([0.1, 0.0, 0.0]), pairs=16)
+    with pytest.raises(DomainError, match="tol"):
+        center_of_mass(measure, tol=tol)
 
 
 def test_center_history_residuals_reach_tolerance():

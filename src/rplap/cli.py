@@ -580,8 +580,8 @@ def build_parser():
     sub.add_argument("--pole", type=_pole, help="pushforward mode: cap pole, as for rayleigh-chain")
     sub.add_argument("--t", type=float, default=0.5, help="pushforward mode: cap parameter")
     sub.add_argument("--degree", type=int, default=12, help="pushforward mode: rule exactness")
-    sub.add_argument("--tol", type=tolerance, default=1e-10)
-    sub.add_argument("--max-iter", type=_at_least(0), default=500)
+    sub.add_argument("--tol", type=tolerance, default=trial_bound.COM_TOL)
+    sub.add_argument("--max-iter", type=_at_least(0), default=trial_bound.COM_MAX_ITER)
     sub.add_argument("--seed", type=_at_least(0), default=0)
 
     sub = command("vfield-search", cmd_vfield_search, "minimize the obstruction field over caps")

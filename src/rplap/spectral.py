@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from . import harmonics
+from ._blas import single_thread
 from .errors import AssemblyError, ConfigError, DomainError, NumericError
 from .quadrature import QuadratureRule, build_sphere_rule, projective_volume
 
@@ -341,15 +342,16 @@ def eigenvalues(w, basis_degree=None, count=None):
     """
     if count is not None and count < 1:
         raise DomainError(f"eigenvalue count must be >= 1, got {count}")
-    stiffness, mass, base, _ = assemble_matrices(w, basis_degree)
-    try:
-        vals, vecs = scipy.linalg.eigh(stiffness, mass)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(
-            "generalized eigensolver failed; "
-            f"cond(mass) = {np.linalg.cond(mass):.3e}, "
-            f"cond(stiffness) = {np.linalg.cond(stiffness):.3e}"
-        ) from exc
+    with single_thread():
+        stiffness, mass, base, _ = assemble_matrices(w, basis_degree)
+        try:
+            vals, vecs = scipy.linalg.eigh(stiffness, mass)
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise NumericError(
+                "generalized eigensolver failed; "
+                f"cond(mass) = {np.linalg.cond(mass):.3e}, "
+                f"cond(stiffness) = {np.linalg.cond(stiffness):.3e}"
+            ) from exc
     if count is not None:
         vals = vals[:count]
         vecs = vecs[:, :count]

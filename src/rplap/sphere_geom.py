@@ -1,9 +1,11 @@
 """Moebius transformations, reflections, caps and folds on round spheres.
 
 Points are numpy arrays with the ambient coordinate on the last axis; every
-map broadcasts over leading axes.  Maps that receive a point on the unit
-sphere return a point renormalized onto the unit sphere, so errors do not
-accumulate through compositions.
+map broadcasts over leading axes.  Tangent vectors are rows too: the
+differential kernels take k of them at each of N points as (N, k, m), with
+the ambient coordinate last, so each contraction runs over contiguous rows.
+Maps that receive a point on the unit sphere return a point renormalized
+onto the unit sphere, so errors do not accumulate through compositions.
 
 The public maps validate their inputs (open-ball shifts, unit sphere points)
 and snap sphere rows back onto the sphere.  Each has a private kernel with
@@ -114,14 +116,18 @@ def moebius_apply(x, y):
 
 def _moebius_differential(x, y, v):
     # D T_x(y) v = (2x ((x + y).v) + (1 - |x|^2) v - T_x(y) (grad D . v)) / D on
-    # columns v (N, m, k) at rows y (N, m) of the closed ball, where
+    # rows v (N, k, m) at rows y (N, m) of the closed ball, where
     # D = 1 + 2 x.y + |x|^2 |y|^2 and grad D = 2x + 2 |x|^2 y
     xx = _dot(x, x)[..., None]
     yy = _dot(y, y)[..., None]
     denom = 1.0 + 2.0 * _dot(x, y)[..., None] + xx * yy
-    numer = 2.0 * x[..., :, None] * ((x + y)[..., None, :] @ v) + (1.0 - xx)[..., None] * v
-    slope = (2.0 * (x + xx * y))[..., None, :] @ v
-    return (numer - _moebius(x, y, False)[..., :, None] * slope) / denom[..., None]
+    along = _dot((x + y)[..., None, :], v)[..., None]
+    slope = _dot((2.0 * (x + xx * y))[..., None, :], v)[..., None]
+    out = 2.0 * x[..., None, :] * along
+    out += (1.0 - xx)[..., None] * v
+    out -= _moebius(x, y, False)[..., None, :] * slope
+    out /= denom[..., None]
+    return out
 
 
 def _moebius_factor(x, s):
@@ -264,15 +270,18 @@ def cap_reflect(cap, y):
 
 
 def _cap_reflect_differential(cap, y, v):
-    # DR(y) v = ((1 - t^2)^2 v + 2 (1 + t^2)^2 (d.v) p - R(y) (grad D . v)) / D
-    # on columns v (N, m, k) tangent at unit rows y (N, m), where
+    # DR(y) v = (2 (1 + t^2)^2 (d.v) p + (1 - t^2)^2 v - R(y) (grad D . v)) / D
+    # on rows v (N, k, m) tangent at unit rows y (N, m), where
     # grad D . v = 4 |m|^2 (m.v) + 2 t^2 (|q|^2 (d.v) + |d|^2 (q.v))
     m, d, q, mm, dd, qq, denom = _cap_terms(cap, y)
     t2 = cap.t * cap.t
-    mv, dv, qv = (a[..., None, :] @ v for a in (m, d, q))
+    mv, dv, qv = (_dot(a[..., None, :], v)[..., None] for a in (m, d, q))
     slope = 4.0 * mm[..., None] * mv + 2.0 * t2 * (qq[..., None] * dv + dd[..., None] * qv)
-    numer = (1.0 - t2) ** 2 * v + 2.0 * (1.0 + t2) ** 2 * cap.pole[..., :, None] * dv
-    return (numer - _cap_image(cap, d, dd, denom)[..., :, None] * slope) / denom[..., None]
+    out = 2.0 * (1.0 + t2) ** 2 * cap.pole[..., None, :] * dv
+    out += (1.0 - t2) ** 2 * v
+    out -= _cap_image(cap, d, dd, denom)[..., None, :] * slope
+    out /= denom[..., None]
+    return out
 
 
 def _cap_reflect_factor(cap, s):

@@ -8,6 +8,7 @@ mass at the origin.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 from typing import Optional
 
@@ -18,7 +19,7 @@ from . import spectral
 from .bounds import bound_constants
 from ._newton import damped_newton
 from .errors import ConvergenceError, DomainError, NumericError
-from .quadrature import build_sphere_rule, projective_volume
+from .quadrature import QuadratureRule, build_sphere_rule, projective_volume
 from .sphere_geom import (
     SphericalCap,
     _cap_reflect,
@@ -37,7 +38,7 @@ from .sphere_geom import (
     tangent_basis,
 )
 from .veronese import constants as veronese_constants
-from .veronese import quadratic_forms, veronese_apply, veronese_jacobian
+from .veronese import output_dim, quadratic_forms, veronese_apply, veronese_jacobian
 
 __all__ = [
     "PushforwardMeasure",
@@ -149,6 +150,10 @@ class CenterResult:
     verified_residual: float  # recomputed with exact (fsum) summation
 
 
+COM_TOL = 1e-10      # default centering tolerance: the residual per unit mass
+COM_MAX_ITER = 500   # default cap on centering rounds
+
+
 def _centered(points, weights, centers, mass, strict=True):
     moved = _moebius(-centers[:, None, :], points, True, strict)
     return weights @ moved / mass, moved
@@ -200,7 +205,7 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
     return centers, moved, res, iterations, history
 
 
-def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
+def center_of_mass(measure, tol=COM_TOL, max_iter=COM_MAX_ITER, start=None):
     """Hyperbolic center: the c with integral of T_{-c} against the measure = 0.
 
     Newton's method from c = 0 (or `start`) in the recentred frame: with the
@@ -213,6 +218,8 @@ def center_of_mass(measure, tol=1e-10, max_iter=500, start=None):
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be a positive finite residual, got {tol!r}")
+    if not max_iter >= 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter!r}")
     if start is not None:
         start = as_ball(start)[None]
     centers, moved, res, iterations, history = _center_iterate(
@@ -241,11 +248,11 @@ class _FieldWorkspace:
         self.images = as_unit(veronese_apply(w.sphere_dim, nodes))
         self.f_values = None if f is None else np.asarray(f(nodes), dtype=float)
 
-    def field(self, poles, ts, com_tol=1e-10, com_start=None):
+    def field(self, poles, ts, com_tol=COM_TOL, com_start=None):
         """V on the K caps (poles (K, m), t (K,)): V, centers, residuals."""
         atoms = _fold(SphericalCap(poles[:, None, :], ts[:, None, None]), self.images)
         centers, moved, res, _, _ = _center_iterate(
-            atoms, self.weights, com_tol, 500, start=com_start
+            atoms, self.weights, com_tol, COM_MAX_ITER, start=com_start
         )
         return (self.weights * self.f_values) @ moved, centers, res
 
@@ -259,7 +266,7 @@ class VFieldResult:
     mass: float
 
 
-def vector_field(w, f, cap, rule=None, com_tol=1e-10):
+def vector_field(w, f, cap, rule=None, com_tol=COM_TOL):
     """V(pole, t): the f-weighted first moment of the centered pushforward.
 
     The unweighted moment vanishes by the centering, so V measures the
@@ -489,6 +496,37 @@ def _eq_stage(stage_id, lhs, rhs, rel_tol):
     )
 
 
+@dataclass(frozen=True)
+class _ChainTables:
+    """Read-only node data of the energy chain, fixed per rule.
+
+    images (N, m) holds the Veronese images of the rule's projective nodes,
+    and frames (N, n, m) the images of their orthonormal tangent frames
+    (tangent_basis) under the Veronese Jacobian, one tangent vector per row.
+    """
+
+    rule: QuadratureRule
+    images: np.ndarray
+    frames: np.ndarray
+
+
+def _tables_on(n, rule):
+    nodes = rule.nodes[: rule.size // 2]
+    images = veronese_apply(n, nodes)
+    frames = np.swapaxes(veronese_jacobian(n, nodes) @ tangent_basis(nodes), 1, 2).copy()
+    for array in (images, frames):
+        array.flags.writeable = False
+    return _ChainTables(rule, images, frames)
+
+
+@lru_cache(maxsize=None)
+def _chain_tables(n, degree):
+    rule = build_sphere_rule(n, degree)
+    for array in (rule.nodes, rule.weights):
+        array.flags.writeable = False
+    return _tables_on(n, rule)
+
+
 def rayleigh_chain(w, cap, center=None, rule=None):
     """Verify the energy chain bounding the trial maps' Rayleigh quotients.
 
@@ -499,27 +537,40 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     are cross-checked against each other to rounding (the `fd` in stage ids
     and value keys names the Jacobian route).  Inequality stages are
     evaluated node-wise on the stretch route, where they hold up to floating
-    point rounding.
+    point rounding.  The cap's pole and a given center must be single points
+    of the Veronese image space (DomainError); without a center, the chain
+    solves for the one center_of_mass returns.
     """
     n = w.sphere_dim
     cst = veronese_constants(n)
-    if rule is None:
-        # the reflected-branch stretch concentrates near the cap complement,
-        # so the chain needs a finer rule than the Galerkin assembly does
-        rule = build_sphere_rule(n, 60 if n == 2 else 40)
+    dim = output_dim(n)
+    if cap.pole.shape != (dim,):
+        raise DomainError(f"cap pole must be one point of R^{dim}, got shape {cap.pole.shape}")
+    if center is not None:
+        center = as_ball(center)
+        if center.shape != (dim,):
+            raise DomainError(f"center must be one point of R^{dim}, got shape {center.shape}")
+    # the reflected-branch stretch concentrates near the cap complement, so
+    # the chain needs a finer rule than the Galerkin assembly does
+    tables = _chain_tables(n, 60 if n == 2 else 40) if rule is None else _tables_on(n, rule)
+    rule, images = tables.rule, tables.images
     nodes, wv, mass_weights, energy_weights = spectral._projective_weights(w, rule)
     half_weights = rule.weights[: nodes.shape[0]]  # the round measure on projective space
     metric_vol = math.fsum(mass_weights.tolist())
     round_vol = projective_volume(n)
 
-    images = veronese_apply(n, nodes)
     inside = cap.contains(images)
     reflected = _cap_reflect(cap, images)
     atoms = np.where(inside[:, None], images, reflected)
     if center is None:
-        center = center_of_mass(_computed_measure(atoms, mass_weights)).center
-    center = as_ball(center)
-    centered = _moebius(-center, atoms, True)
+        # center_of_mass's solve, keeping the atoms it moved to the center
+        measure = _computed_measure(atoms, mass_weights)
+        centers, moved, _, _, _ = _center_iterate(
+            measure.points[None], measure.weights, COM_TOL, COM_MAX_ITER
+        )
+        center, centered = centers[0], moved[0]
+    else:
+        centered = _moebius(-center, atoms, True)
 
     # -- trial components: unit images, denominators
     unit_dev = float(np.max(np.abs(_norm(centered) - 1.0)))
@@ -528,11 +579,11 @@ def rayleigh_chain(w, cap, center=None, rule=None):
 
     # -- Jacobian route: the exact differential of T_{-center} o fold, applied
     # to the Veronese images of orthonormal tangent frames, on each node's branch
-    deriv = veronese_jacobian(n, nodes) @ tangent_basis(nodes)  # (N, m, n)
+    deriv = tables.frames.copy()  # (N, n, m)
     deriv[~inside] = _cap_reflect_differential(cap, images[~inside], deriv[~inside])
     deriv = _moebius_differential(-center, atoms, deriv)
-    comp_grad_sq = _dot(deriv, deriv)
-    gram = np.einsum("kmi,kmj->kij", deriv, deriv)
+    comp_grad_sq = np.einsum("kim,kim->km", deriv, deriv)
+    gram = np.einsum("kim,kjm->kij", deriv, deriv)
     grad_sq = np.trace(gram, axis1=1, axis2=2)  # sum_j |grad u_j|^2 at each node
 
     numerators = np.einsum("k,kj->j", energy_weights, comp_grad_sq)

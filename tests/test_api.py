@@ -37,11 +37,23 @@ def test_module_imports_are_used(name):
     assert unused == []
 
 
+def _is_row_vector(node):
+    """node is indexed [..., None, :]: a stack of 1 x m rows."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    return [ast.unparse(e) for e in node.slice.elts[-2:]] == ["None", ":"]
+
+
 def _slow_row_reductions(source):
     """Calls in source that reduce the coordinate axis with a ufunc reduction:
-    np.sum / .sum over axis -1, and np.linalg.norm."""
+    np.sum / .sum over axis -1, and np.linalg.norm; and batched row-vector
+    matmuls a[..., None, :] @ b, one 1 x m by m x k product per row."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if _is_row_vector(node.left):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+            continue
         if not isinstance(node, ast.Call):
             continue
         func = ast.unparse(node.func)
@@ -56,8 +68,9 @@ def _slow_row_reductions(source):
 
 @pytest.mark.parametrize("name", ["sphere_geom", "veronese"])
 def test_kernel_row_dot_products_are_contracted(name):
-    # A ufunc reduction over a 3- to 9-long coordinate axis costs many times
-    # the products it sums; the hot kernels contract through sphere_geom._dot.
+    # A ufunc reduction over a 3- to 9-long coordinate axis, or a batch of
+    # 1 x m row-vector matmuls, costs many times the products it sums; the
+    # hot kernels contract through sphere_geom._dot.
     source = (Path(rplap.__file__).parent / f"{name}.py").read_text()
     assert _slow_row_reductions(source) == []
 
@@ -69,9 +82,12 @@ def test_slow_row_reduction_scan_finds_each_form():
         "c = (y * y).sum(axis=-1)",
         "d = np.linalg.norm(y, axis=1)",
         "e = np.sum(y, axis=0)",
+        "f = (x + y)[..., None, :] @ v",
+        "g = v @ x[..., None]",
+        "h = x[..., None, :] * v",
     ])
     assert [hit.split(":")[0] for hit in _slow_row_reductions(source)] == [
-        "line 1", "line 2", "line 3", "line 4",
+        "line 1", "line 2", "line 3", "line 4", "line 6",
     ]
 
 

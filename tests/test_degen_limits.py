@@ -197,8 +197,8 @@ def test_moebius_two_routes_agree():
         weighted = surface_measure(surface, lambda pts: moebius_factor(x, pts) ** dim)
         chart = lambda params: moebius_apply(x, surface.chart(params))
         jacobian = lambda params: sg._moebius_differential(
-            x, surface.chart(params), surface.jacobian(params)
-        )
+            x, surface.chart(params), np.swapaxes(surface.jacobian(params), 1, 2)
+        ).swapaxes(1, 2)
         rule = {"nodes": surface.nodes, "weights": surface.weights}
         direct = surface_measure(SimpleNamespace(chart=chart, jacobian=jacobian, **rule))
         npt.assert_allclose(weighted, direct, rtol=rtol)

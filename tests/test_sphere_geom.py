@@ -342,7 +342,7 @@ def assert_columns_match_central_differences(func, differential, y, directions, 
     # errors are taken relative to each row's largest entry: the stretch here
     # spans 1/361 to 361
     cols = sg._central_differences(lambda p: func(p, on_sphere), y, directions, FD_STEP, on_sphere)
-    exact = differential(y, directions)
+    exact = np.swapaxes(differential(y, np.swapaxes(directions, 1, 2)), 1, 2)
     scale = np.max(np.abs(exact), axis=(1, 2), keepdims=True)
     npt.assert_array_less(np.abs(exact - cols) / scale, 1e-6)
 

@@ -214,6 +214,14 @@ def test_center_rejects_a_tolerance_outside_zero_to_infinity(tol):
         center_of_mass(measure, tol=tol)
 
 
+def test_center_rejects_a_negative_iteration_cap():
+    # a negative cap used to run no round and report a "no step halving"
+    # ConvergenceError, the numerical-failure class
+    measure = moebius_shifted_uniform(3, np.array([0.2, 0.0, 0.0]), pairs=16)
+    with pytest.raises(DomainError, match="max_iter"):
+        center_of_mass(measure, max_iter=-1)
+
+
 def test_center_history_residuals_reach_tolerance():
     measure = moebius_shifted_uniform(3, np.array([0.5, 0.2, 0.0]), seed=4)
     result = center_of_mass(measure, tol=1e-12)
@@ -422,6 +430,17 @@ def test_chain_rejects_a_center_outside_the_open_ball():
         rayleigh_chain(round_factor(2), cap, center=np.eye(5)[2])
 
 
+def test_chain_rejects_a_center_of_another_dimension():
+    cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.45)
+    with pytest.raises(DomainError, match="center"):
+        rayleigh_chain(round_factor(2), cap, center=np.zeros(3))
+
+
+def test_chain_rejects_a_cap_pole_of_another_dimension():
+    with pytest.raises(DomainError, match="pole"):
+        rayleigh_chain(round_factor(2), SphericalCap(np.eye(9)[0], 0.3))
+
+
 def test_chain_rejects_the_circle():
     # RP^1 lies outside the theorem's dimensions: a domain error, raised by the
     # factor before any chain stage runs
@@ -434,7 +453,7 @@ def test_chain_frame_identity_covers_the_reflected_branch(monkeypatch):
     # only the nodes outside the cap, so the stage must look at every node to
     # see it.
     def stretched(cap, y, v):
-        return np.diag([1.5, 1.0, 1.0, 1.0, 1.0]) @ sg._cap_reflect_differential(cap, y, v)
+        return sg._cap_reflect_differential(cap, y, v) @ np.diag([1.5, 1.0, 1.0, 1.0, 1.0]).T
 
     monkeypatch.setattr(trial_bound, "_cap_reflect_differential", stretched)
     cap = SphericalCap(image_pole(2, [1, 0, 0]), 0.45)
@@ -462,6 +481,33 @@ def test_chain_dimension_three():
     report = rayleigh_chain(round_factor(3), cap)
     assert report.passed
     npt.assert_allclose(report.values["final_bound"], 446.6473087769, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_default_rule_is_the_explicit_one(n):
+    # the cached tables give the numbers an uncached rule gives
+    w, cap = zonal_factor(n, 0.5), SphericalCap(image_pole(n, [0.6, 0.8, 0.0, 0.0][: n + 1]), 0.45)
+    cached = rayleigh_chain(w, cap)
+    explicit = rayleigh_chain(w, cap, rule=build_sphere_rule(n, 60 if n == 2 else 40))
+    assert np.array_equal(cached.center, explicit.center)
+    assert [s.passed for s in cached.stages] == [s.passed for s in explicit.stages]
+    assert [(s.lhs, s.rhs) for s in cached.stages] == [(s.lhs, s.rhs) for s in explicit.stages]
+    assert cached.values == explicit.values
+
+
+def test_chain_tables_are_read_only():
+    tables = trial_bound._chain_tables(2, 60)
+    for array in (tables.rule.nodes, tables.rule.weights, tables.images, tables.frames):
+        assert not array.flags.writeable
+    assert tables.frames.shape == (tables.images.shape[0], 2, 5)
+
+
+def test_chain_center_is_the_center_of_mass_of_its_atoms():
+    w, cap = zonal_factor(2, 0.5), SphericalCap(image_pole(2, [1, 0, 0]), 0.5)
+    nodes, _, mass, _ = spectral._projective_weights(w, build_sphere_rule(2, 60))
+    atoms = sg._fold(cap, veronese_apply(2, nodes))
+    expected = center_of_mass(PushforwardMeasure(points=atoms, weights=mass)).center
+    assert np.array_equal(rayleigh_chain(w, cap).center, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +547,42 @@ print(json.dumps([report.eigenvalues, report.passed]))
 
 
 def test_theorem_check_does_not_depend_on_the_blas_thread_count():
+    # the assembly and eigensolve run on one thread either way (rplap._blas)
     runs = [_run_with_blas_threads(_THEOREM_CHECK_SCRIPT, threads) for threads in ("1", "2")]
     (one, passed_one), (two, passed_two) = runs
-    one, two = np.array(one), np.array(two)
-    assert np.max(np.abs(two - one)) <= 1e-12 * np.max(np.abs(one))
+    assert one == two
     assert passed_one == passed_two
+
+
+_SINGLE_THREAD_SCRIPT = """
+import json, os
+from rplap import _blas
+counts = lambda: [get() for get, _ in _blas._CONTROLS]
+seen = {"before": counts()}
+with _blas.single_thread():
+    seen["inside"] = counts()
+    with _blas.single_thread():
+        seen["nested"] = counts()
+    seen["after_nested"] = counts()
+try:
+    with _blas.single_thread():
+        raise RuntimeError
+except RuntimeError:
+    seen["after_raise"] = counts()
+seen["after"] = counts()
+seen["variable"] = os.environ["OPENBLAS_NUM_THREADS"]
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_single_thread_caps_and_restores_every_openblas(threads):
+    seen = _run_with_blas_threads(_SINGLE_THREAD_SCRIPT, threads)
+    if not seen["before"]:
+        pytest.skip("no OpenBLAS thread setter loaded")
+    count = len(seen["before"])
+    assert seen["before"] == [int(threads)] * count
+    for key in ("inside", "nested", "after_nested"):
+        assert seen[key] == [1] * count
+    assert seen["after_raise"] == seen["after"] == seen["before"]
+    assert seen["variable"] == threads

@@ -16,7 +16,9 @@ def damped_newton(
     """Damped Newton on every row of x at once; returns (x, |r|, aux, rounds, history).
 
     x (K, p) holds the points, r (K, q) their residuals and aux (K, ...) the
-    residual's per-row data; all three are updated in place.  Each round, every
+    residual's per-row data; x and r are updated in place, and aux is too
+    unless a trial improves every row at once, when the loop adopts the
+    residual's aux in its place (use the returned aux).  Each round, every
     row with |r| > tol takes the step s = step(x, r, aux), capped at |s| <=
     step_cap, and tries retract(x, scale * s) at scale = 1, 1/2, ... down to
     min_scale until |r| falls.  A trial with a non-finite coordinate is
@@ -25,6 +27,10 @@ def damped_newton(
     stops at |r| <= tol, or when a round leaves |r| at or above `progress`
     times its value before the round.  rounds counts the rounds each row took
     part in; history holds |r| before the first round and after each one.
+
+    While every row is active, step and residual receive x, r and aux
+    themselves rather than indexed copies, so neither may write to its
+    arguments.
     """
     res = np.linalg.norm(r, axis=1)
     history = [res.copy()]
@@ -35,7 +41,10 @@ def damped_newton(
         if rows.size == 0:
             break
         rounds[rows] += 1
-        steps = step(x[rows], r[rows], aux[rows])
+        if rows.size == res.size:  # every row: the arrays themselves, no copies
+            steps = step(x, r, aux)
+        else:
+            steps = step(x[rows], r[rows], aux[rows])
         size = np.linalg.norm(steps, axis=1)
         steps *= (step_cap / np.fmax(size, step_cap))[:, None]
         before = res[rows]
@@ -45,12 +54,16 @@ def damped_newton(
             ok = np.all(np.isfinite(trials), axis=1)  # a rejected retraction is not evaluated
             took = rows[left[ok]]
             if took.size:
-                trial_r, trial_aux = residual(took, trials[ok], aux[took])
+                whole = took.size == res.size
+                trial_r, trial_aux = residual(took, trials[ok], aux if whole else aux[took])
                 trial_res = np.linalg.norm(trial_r, axis=1)
                 better = trial_res < res[took]
                 ok[ok], took = better, took[better]  # ok now marks the accepted trials
                 x[took], r[took], res[took] = trials[ok], trial_r[better], trial_res[better]
-                aux[took] = trial_aux[better]
+                if whole and better.all():
+                    aux = trial_aux
+                else:
+                    aux[took] = trial_aux[better]
             left, scale = left[~ok], 0.5 * scale
         active[rows] = (res[rows] > tol) & (res[rows] < progress * before)
         history.append(res.copy())

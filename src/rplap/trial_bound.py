@@ -10,6 +10,7 @@ mass at the origin.
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -154,6 +155,11 @@ COM_TOL = 1e-10      # default centering tolerance: the residual per unit mass
 COM_MAX_ITER = 500   # default cap on centering rounds
 
 
+def _check_tol(name, tol):
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be a positive finite residual, got {tol!r}")
+
+
 def _centered(points, weights, centers, mass, strict=True):
     moved = _moebius(-centers[:, None, :], points, True, strict)
     return weights @ moved / mass, moved
@@ -184,9 +190,12 @@ def _center_iterate(points, weights, tol, max_iter, start=None):
         trial[_dot(trial, trial) >= 1.0] = np.nan
         return trial
 
+    def residual(rows, trial, _):
+        atoms = points if rows.size == count else points[rows]  # all rows: no copy
+        return _centered(atoms, weights, trial, mass, False)
+
     centers, res, moved, iterations, history = damped_newton(
-        lambda rows, trial, _: _centered(points[rows], weights, trial, mass, False),
-        step, retract, centers, mean, moved, tol, max_iter, 0.9, SEARCH_MIN_SCALE,
+        residual, step, retract, centers, mean, moved, tol, max_iter, 0.9, SEARCH_MIN_SCALE,
     )
     worst = int(np.argmax(res))  # the first NaN, if any
     if not res[worst] <= tol:
@@ -216,8 +225,7 @@ def center_of_mass(measure, tol=COM_TOL, max_iter=COM_MAX_ITER, start=None):
     down to SEARCH_MIN_SCALE, until the residual decreases.  The returned
     residual is re-verified with exactly rounded summation.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be a positive finite residual, got {tol!r}")
+    _check_tol("tol", tol)
     if not max_iter >= 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter!r}")
     if start is not None:
@@ -270,8 +278,10 @@ def vector_field(w, f, cap, rule=None, com_tol=COM_TOL):
     """V(pole, t): the f-weighted first moment of the centered pushforward.
 
     The unweighted moment vanishes by the centering, so V measures the
-    obstruction carried by f alone.
+    obstruction carried by f alone.  com_tol is the centering tolerance, as
+    center_of_mass's tol (DomainError unless 0 < com_tol < inf).
     """
+    _check_tol("com_tol", com_tol)
     if rule is None:
         rule = spectral.default_rule(w.sphere_dim)
     ws = _FieldWorkspace(w, rule, f=f)
@@ -371,13 +381,16 @@ def search_vector_field_zero(
     batch of forward-difference Jacobians.  A start stops at |V| / mass <=
     SEARCH_TOL, when no halving of its step lowers the residual, or when a
     round fails to cut it below SEARCH_PROGRESS times the last.  t runs over
-    [0, min(t_max, 0.999)]; t_max must be >= 0 (DomainError).  `seed` seeds
-    the slice fit; the result is deterministic.  V is only as accurate as its
-    center, so the centering tolerance SEARCH_COM_TOL sits below the
-    polish's target.
+    [0, min(t_max, 0.999)]; t_max must be >= 0, and starts and maxiter
+    non-negative integers (DomainError).  `seed` seeds the slice fit; the
+    result is deterministic.  V is only as accurate as its center, so the
+    centering tolerance SEARCH_COM_TOL sits below the polish's target.
     """
     if not 0.0 <= t_max:
         raise DomainError(f"t_max must be >= 0, got {t_max!r}")
+    for name, count in (("starts", starts), ("maxiter", maxiter)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise DomainError(f"{name} must be a non-negative integer, got {count!r}")
     rule = build_sphere_rule(w.sphere_dim, 12)
     w = spectral.normalize_volume(w, rule=rule)
     f = spectral.first_excited_state(spectral.eigenvalues(w, basis_degree))
@@ -527,6 +540,29 @@ def _chain_tables(n, degree):
     return _tables_on(n, rule)
 
 
+_CHAIN_BLOCK = 2048  # rows per block of the chain's per-node work; a block's temporaries stay in cache
+
+
+def _gram_trace_det(rows):
+    """Trace and determinant of the Gram matrix of each node's n = 2 or 3 rows.
+
+    rows (N, n, m); the n (n + 1) / 2 distinct entries are row dot products
+    and the determinant is the cofactor expansion along the first row, a few
+    elementwise passes in place of one LU per node.
+    """
+    n = rows.shape[1]
+    g = {(i, j): _dot(rows[:, i], rows[:, j]) for i in range(n) for j in range(i, n)}
+    if n == 2:
+        return g[0, 0] + g[1, 1], g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+    minors = (
+        g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2],
+        g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2],
+        g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2],
+    )
+    det = g[0, 0] * minors[0] - g[0, 1] * minors[1] + g[0, 2] * minors[2]
+    return g[0, 0] + g[1, 1] + g[2, 2], det
+
+
 def rayleigh_chain(w, cap, center=None, rule=None):
     """Verify the energy chain bounding the trial maps' Rayleigh quotients.
 
@@ -559,14 +595,21 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     metric_vol = math.fsum(mass_weights.tolist())
     round_vol = projective_volume(n)
 
+    # per-node work runs in row blocks into full arrays, and every sum over
+    # the nodes runs once over those, so the block size moves no number
+    count = images.shape[0]
+    blocks = [slice(lo, lo + _CHAIN_BLOCK) for lo in range(0, count, _CHAIN_BLOCK)]
     inside = cap.contains(images)
-    reflected = _cap_reflect(cap, images)
+    reflected = np.empty_like(images)
+    for b in blocks:
+        reflected[b] = _cap_reflect(cap, images[b])
     atoms = np.where(inside[:, None], images, reflected)
     if center is None:
         # center_of_mass's solve, keeping the atoms it moved to the center
         measure = _computed_measure(atoms, mass_weights)
+        atoms = measure.points  # the same values; one (N, m) array less in flight
         centers, moved, _, _, _ = _center_iterate(
-            measure.points[None], measure.weights, COM_TOL, COM_MAX_ITER
+            atoms[None], measure.weights, COM_TOL, COM_MAX_ITER
         )
         center, centered = centers[0], moved[0]
     else:
@@ -578,13 +621,24 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     den_sum = math.fsum(denominators.tolist())
 
     # -- Jacobian route: the exact differential of T_{-center} o fold, applied
-    # to the Veronese images of orthonormal tangent frames, on each node's branch
-    deriv = tables.frames.copy()  # (N, n, m)
-    deriv[~inside] = _cap_reflect_differential(cap, images[~inside], deriv[~inside])
-    deriv = _moebius_differential(-center, atoms, deriv)
-    comp_grad_sq = np.einsum("kim,kim->km", deriv, deriv)
-    gram = np.einsum("kim,kjm->kij", deriv, deriv)
-    grad_sq = np.trace(gram, axis1=1, axis2=2)  # sum_j |grad u_j|^2 at each node
+    # to the Veronese images of orthonormal tangent frames, on each node's
+    # branch; and the analytic conformal-stretch route
+    comp_grad_sq = np.empty((count, dim))
+    grad_sq, gram_det = np.empty(count), np.empty(count)
+    stretch_plain, stretch_reflected = np.empty(count), np.empty(count)
+    for b in blocks:
+        outside = ~inside[b]
+        deriv = tables.frames[b].copy()  # (B, n, m)
+        deriv[outside] = _cap_reflect_differential(cap, images[b][outside], deriv[outside])
+        deriv = _moebius_differential(-center, atoms[b], deriv)
+        comp_grad_sq[b] = np.einsum("kim,kim->km", deriv, deriv)
+        grad_sq[b], gram_det[b] = _gram_trace_det(deriv)  # sum_j |grad u_j|^2 at each node
+        stretch_plain[b] = cst.conformal_scale * _moebius_factor(-center, images[b])
+        stretch_reflected[b] = (
+            cst.conformal_scale
+            * _cap_reflect_factor(cap, images[b])
+            * _moebius_factor(-center, reflected[b])
+        )
 
     numerators = np.einsum("k,kj->j", energy_weights, comp_grad_sq)
     energy_fd = math.fsum(numerators.tolist())
@@ -593,13 +647,6 @@ def rayleigh_chain(w, cap, center=None, rule=None):
         (mass_weights * (grad_sq / wv) ** (n / 2.0)).tolist()
     )
 
-    # -- analytic conformal-stretch route
-    stretch_plain = cst.conformal_scale * _moebius_factor(-center, images)
-    stretch_reflected = (
-        cst.conformal_scale
-        * _cap_reflect_factor(cap, images)
-        * _moebius_factor(-center, reflected)
-    )
     stretch_fold = np.where(inside, stretch_plain, stretch_reflected)
     grad_sq_analytic = n * stretch_fold**2
     energy_analytic = math.fsum((energy_weights * grad_sq_analytic).tolist())
@@ -609,7 +656,7 @@ def rayleigh_chain(w, cap, center=None, rule=None):
     n_energy_analytic = n ** (n / 2.0) * split_vol
 
     # -- conformality of the composite at every node: trace / det^(1/n) = n
-    frame_dev = float(np.max(np.abs(grad_sq / np.linalg.det(gram) ** (1.0 / n) - n)))
+    frame_dev = float(np.max(np.abs(grad_sq / gram_det ** (1.0 / n) - n)))
 
     conf_volume_cap = cst.conformal_scale**n * round_vol
     final_a = 2.0 * n ** (n / 2.0) * cst.conformal_scale**n * round_vol

@@ -46,8 +46,9 @@ def _is_row_vector(node):
 
 def _slow_row_reductions(source):
     """Calls in source that reduce the coordinate axis with a ufunc reduction:
-    np.sum / .sum over axis -1, and np.linalg.norm; and batched row-vector
-    matmuls a[..., None, :] @ b, one 1 x m by m x k product per row."""
+    np.sum / .sum over axis -1, and np.linalg.norm; batched row-vector
+    matmuls a[..., None, :] @ b, one 1 x m by m x k product per row; and
+    np.linalg.det, one LU per small matrix."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
@@ -61,17 +62,29 @@ def _slow_row_reductions(source):
         if func == "np.sum":
             axes += node.args[1:2]
         last_axis = any(ast.unparse(axis) == "-1" for axis in axes)
-        if func.endswith("linalg.norm") or (func.split(".")[-1] == "sum" and last_axis):
+        slow = func.endswith(("linalg.norm", "linalg.det"))
+        if slow or (func.split(".")[-1] == "sum" and last_axis):
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
 
-@pytest.mark.parametrize("name", ["sphere_geom", "veronese"])
+def _function_source(module, name):
+    tree = ast.parse((Path(rplap.__file__).parent / f"{module}.py").read_text())
+    [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return ast.unparse(func)
+
+
+@pytest.mark.parametrize("name", ["sphere_geom", "veronese", "trial_bound.rayleigh_chain"])
 def test_kernel_row_dot_products_are_contracted(name):
-    # A ufunc reduction over a 3- to 9-long coordinate axis, or a batch of
-    # 1 x m row-vector matmuls, costs many times the products it sums; the
-    # hot kernels contract through sphere_geom._dot.
-    source = (Path(rplap.__file__).parent / f"{name}.py").read_text()
+    # A ufunc reduction over a 3- to 9-long coordinate axis, a batch of
+    # 1 x m row-vector matmuls, or a batched LU of 2 x 2 or 3 x 3 matrices
+    # costs many times the products it sums; the hot kernels and the energy
+    # chain's per-node work contract through sphere_geom._dot.
+    module, _, func = name.partition(".")
+    if func:
+        source = _function_source(module, func)
+    else:
+        source = (Path(rplap.__file__).parent / f"{module}.py").read_text()
     assert _slow_row_reductions(source) == []
 
 
@@ -85,9 +98,10 @@ def test_slow_row_reduction_scan_finds_each_form():
         "f = (x + y)[..., None, :] @ v",
         "g = v @ x[..., None]",
         "h = x[..., None, :] * v",
+        "i = np.linalg.det(gram)",
     ])
     assert [hit.split(":")[0] for hit in _slow_row_reductions(source)] == [
-        "line 1", "line 2", "line 3", "line 4", "line 6",
+        "line 1", "line 2", "line 3", "line 4", "line 6", "line 9",
     ]
 
 

@@ -222,6 +222,27 @@ def test_center_rejects_a_negative_iteration_cap():
         center_of_mass(measure, max_iter=-1)
 
 
+def test_batched_centering_matches_one_measure_at_a_time():
+    # the three rows finish in different rounds: every row is active at first
+    # (step and residual see the batch itself), then only the unfinished ones
+    # (indexed copies); neither path may move a number
+    direction = np.array([0.6, 0.0, -0.8, 0.0])
+    clouds = [
+        moebius_shifted_uniform(4, depth * direction, pairs=32, seed=k)
+        for k, depth in enumerate((0.1, 0.6, 0.95))
+    ]
+    points, weights = np.stack([c.points for c in clouds]), clouds[0].weights
+    centers, moved, _, iterations, _ = trial_bound._center_iterate(points, weights, 1e-10, 500)
+    assert len(set(iterations.tolist())) == 3
+    for k in range(3):
+        alone, alone_moved, _, rounds, _ = trial_bound._center_iterate(
+            points[k : k + 1], weights, 1e-10, 500
+        )
+        assert np.array_equal(alone[0], centers[k])
+        assert np.array_equal(alone_moved[0], moved[k])
+        assert rounds[0] == iterations[k]
+
+
 def test_center_history_residuals_reach_tolerance():
     measure = moebius_shifted_uniform(3, np.array([0.5, 0.2, 0.0]), seed=4)
     result = center_of_mass(measure, tol=1e-12)
@@ -245,6 +266,16 @@ def test_vector_field_respects_centering():
     assert result.mass == pytest.approx(volume(w), rel=1e-12)
 
 
+@pytest.mark.parametrize("com_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_vector_field_rejects_a_centering_tolerance_outside_zero_to_infinity(com_tol):
+    # NaN, -1 and 0 used to raise ConvergenceError, the numerical-failure
+    # class, and inf returned an uncentered field
+    f = lambda pts: pts[:, 2] ** 2 - 1.0 / 3.0
+    cap = SphericalCap(image_pole(2, [0, 0, 1]), 0.35)
+    with pytest.raises(DomainError, match="com_tol"):
+        vector_field(round_factor(2), f, cap, com_tol=com_tol)
+
+
 def test_extended_field_saturates_at_the_boundary():
     w = round_factor(2)
     cap = SphericalCap(image_pole(2, [0, 0, 1]), 0.4)
@@ -266,6 +297,17 @@ def test_search_drives_the_field_to_zero():
     assert len(result.start_results) == 2
     assert 0.0 <= result.t <= 0.999
     npt.assert_allclose(np.linalg.norm(result.pole), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("starts", -1), ("maxiter", -1), ("starts", 2.5)],
+)
+def test_search_rejects_a_count_that_is_not_a_non_negative_integer(name, value):
+    # starts=-1 used to polish all but the last grid cell, maxiter=-1 to skip
+    # the polish, and starts=2.5 to raise a bare TypeError
+    with pytest.raises(DomainError, match=f"{name} must be a non-negative integer"):
+        search_vector_field_zero(zonal_factor(2, 0.5), **{name: value})
 
 
 def test_search_evaluates_one_cap_holding_every_image(monkeypatch):
@@ -493,6 +535,38 @@ def test_chain_default_rule_is_the_explicit_one(n):
     assert [s.passed for s in cached.stages] == [s.passed for s in explicit.stages]
     assert [(s.lhs, s.rhs) for s in cached.stages] == [(s.lhs, s.rhs) for s in explicit.stages]
     assert cached.values == explicit.values
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("block", [7, None])
+def test_chain_block_size_moves_no_number(monkeypatch, n, block):
+    # every per-node value is computed row by row and every sum over the
+    # nodes runs once over the whole arrays; None runs one block of all N rows
+    w, cap = zonal_factor(n, 0.5), SphericalCap(image_pole(n, [0.6, 0.8, 0.0, 0.0][: n + 1]), 0.45)
+    default = rayleigh_chain(w, cap)
+    nodes = trial_bound._chain_tables(n, 60 if n == 2 else 40).images.shape[0]
+    monkeypatch.setattr(trial_bound, "_CHAIN_BLOCK", nodes if block is None else block)
+    blocked = rayleigh_chain(w, cap)
+    assert np.array_equal(blocked.center, default.center)
+    assert [s.passed for s in blocked.stages] == [s.passed for s in default.stages]
+    assert [(s.lhs, s.rhs) for s in blocked.stages] == [(s.lhs, s.rhs) for s in default.stages]
+    assert blocked.values == default.values
+
+
+@given(st.data())
+def test_gram_cofactor_determinant_matches_lu(data):
+    # Each cofactor term of a Gram determinant is bounded by the product of
+    # its diagonal (Cauchy-Schwarz), so both routes round to within a few
+    # ulps of that product, however near singular the Gram is.
+    n = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(n, 9))
+    entries = data.draw(st.lists(st.integers(-(2**20), 2**20), min_size=n * m, max_size=n * m))
+    rows = np.array(entries, dtype=float).reshape(1, n, m) / 2**20
+    gram = np.einsum("kim,kjm->kij", rows, rows)
+    trace, det = trial_bound._gram_trace_det(rows)
+    scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    assert abs(det[0] - np.linalg.det(gram)[0]) <= 1e-13 * scale[0]
+    npt.assert_allclose(trace, np.trace(gram, axis1=1, axis2=2), rtol=1e-15, atol=0)
 
 
 def test_chain_tables_are_read_only():
